@@ -68,7 +68,7 @@ type runRow struct {
 	// the process) per GB of those bytes — the copy work the kernel
 	// serve path removes. PeakFillBytes is the high-water mark of fill
 	// scratch memory checked out at once across all nodes: the
-	// O(FillStreamBuf × in-flight fills) bound, not O(chunk).
+	// O(fill buffer × in-flight fills) bound, not O(chunk).
 	BytesPerSec   float64 `json:"bytes_per_sec"`
 	CPUSecPerGB   float64 `json:"cpu_sec_per_gb"`
 	PeakFillBytes int64   `json:"peak_fill_bytes"`
@@ -118,24 +118,23 @@ type httpServeRow struct {
 }
 
 type report struct {
-	GeneratedAt   string       `json:"generated_at"`
-	GOOS          string       `json:"goos"`
-	GOARCH        string       `json:"goarch"`
-	CPUs          int          `json:"cpus"`
-	GOMAXPROCS    int          `json:"gomaxprocs"`
-	Note          string       `json:"note,omitempty"`
-	Algo          string       `json:"algo"`
-	Alpha         float64      `json:"alpha"`
-	ChunkBytes    int64        `json:"chunk_bytes"`
-	DiskChunks    int          `json:"disk_chunks"`
-	Videos        int          `json:"videos"`
-	Zipf          float64      `json:"zipf_s"`
-	Store         string       `json:"store"`
-	AsyncFills    bool         `json:"async_fills"`
-	HotMB         int64        `json:"hot_mb"`
-	FillStreamBuf int64        `json:"fill_stream_buf"`
-	Runs          []runRow     `json:"runs"`
-	ServePath     servePathRow `json:"serve_path"`
+	GeneratedAt string       `json:"generated_at"`
+	GOOS        string       `json:"goos"`
+	GOARCH      string       `json:"goarch"`
+	CPUs        int          `json:"cpus"`
+	GOMAXPROCS  int          `json:"gomaxprocs"`
+	Note        string       `json:"note,omitempty"`
+	Algo        string       `json:"algo"`
+	Alpha       float64      `json:"alpha"`
+	ChunkBytes  int64        `json:"chunk_bytes"`
+	DiskChunks  int          `json:"disk_chunks"`
+	Videos      int          `json:"videos"`
+	Zipf        float64      `json:"zipf_s"`
+	Store       string       `json:"store"`
+	AsyncFills  bool         `json:"async_fills"`
+	HotMB       int64        `json:"hot_mb"`
+	Runs        []runRow     `json:"runs"`
+	ServePath   servePathRow `json:"serve_path"`
 	// ServePathCold is the same isolated cache-hit benchmark with the
 	// hot tier disabled — the pooled-copy baseline the zero-copy path
 	// is measured against.
@@ -151,11 +150,10 @@ type report struct {
 // storeOpts selects the chunk store backend, fill mode, and hot tier
 // budget under test.
 type storeOpts struct {
-	kind          string // mem, fs or slab
-	async         bool
-	hotBytes      int64 // RAM hot tier budget; 0 disables the tier
-	fillStreamBuf int64 // streaming fill buffer (0 default, <0 buffered)
-	noSendfile    bool  // disable the kernel serve path
+	kind       string // mem, fs or slab
+	async      bool
+	hotBytes   int64 // RAM hot tier budget; 0 disables the tier
+	noSendfile bool  // disable the kernel serve path
 }
 
 // open builds a fresh store of the selected kind in a temp dir (for
@@ -246,7 +244,6 @@ func main() {
 	hotMB := flag.Int64("hot-mb", 64, "RAM hot tier budget in MB (0 disables the tier)")
 	peers := flag.Int("peers", 0, "cluster size: N in-process edge nodes with rendezvous-routed peer fill, workers spread across all of them (0 or 1 = standalone)")
 	peerAlpha := flag.Float64("peer-alpha", 0.25, "alpha_P2R: peer-fill cost relative to a redirect (cluster runs)")
-	fillStreamBuf := flag.Int64("fill-stream-buf", 0, "streaming fill buffer in bytes (0 = 256 KiB default, negative = legacy whole-chunk buffering)")
 	noSendfile := flag.Bool("no-sendfile", false, "disable the kernel (sendfile) serve path in the load-test runs")
 	servepathMB := flag.Int64("servepath-mb", 256, "MB pulled per arm of the sendfile on/off HTTP A/B (serve_path_sendfile / serve_path_copy)")
 	flag.Parse()
@@ -257,25 +254,24 @@ func main() {
 	chunkSize := *chunkKB << 10
 	catalog := edge.DeterministicCatalog{MinBytes: 4 * chunkSize, MaxBytes: 16 * chunkSize}
 	rep := &report{
-		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		CPUs:          runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Algo:          *algo,
-		Alpha:         *alpha,
-		ChunkBytes:    chunkSize,
-		DiskChunks:    *diskChunks,
-		Videos:        *videos,
-		Zipf:          *zipfS,
-		Store:         *storeKind,
-		AsyncFills:    *fillAsync,
-		HotMB:         *hotMB,
-		FillStreamBuf: *fillStreamBuf,
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		CPUs:        runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Algo:        *algo,
+		Alpha:       *alpha,
+		ChunkBytes:  chunkSize,
+		DiskChunks:  *diskChunks,
+		Videos:      *videos,
+		Zipf:        *zipfS,
+		Store:       *storeKind,
+		AsyncFills:  *fillAsync,
+		HotMB:       *hotMB,
 	}
 	so := storeOpts{
 		kind: *storeKind, async: *fillAsync, hotBytes: *hotMB << 20,
-		fillStreamBuf: *fillStreamBuf, noSendfile: *noSendfile,
+		noSendfile: *noSendfile,
 	}
 	if rep.CPUs < 4 {
 		rep.Note = fmt.Sprintf("generated on a %d-CPU machine: shard scaling is lock-contention relief only; regenerate on multi-core for real parallel speedup", rep.CPUs)
@@ -389,7 +385,6 @@ func newEdge(n int, chunkSize int64, diskChunks int, algo string, alpha float64,
 		Alpha:           alpha,
 		AsyncFills:      so.async,
 		HotBytes:        so.hotBytes,
-		FillStreamBuf:   so.fillStreamBuf,
 		DisableSendfile: so.noSendfile,
 	})
 	if err != nil {
@@ -494,7 +489,6 @@ func newEdgeCluster(peers, n int, chunkSize int64, diskChunks int, algo string, 
 			Alpha:           alpha,
 			AsyncFills:      so.async,
 			HotBytes:        so.hotBytes,
-			FillStreamBuf:   so.fillStreamBuf,
 			DisableSendfile: so.noSendfile,
 			PeerFill:        client,
 			PeerAlpha:       peerAlpha,

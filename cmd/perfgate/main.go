@@ -20,9 +20,9 @@
 //     -tolerance-fold (rates regress by getting smaller);
 //  4. every cpu_sec_per_gb / peak_fill_bytes cost may grow at most
 //     -tolerance-fold — peak_fill_bytes in particular is the
-//     O(stream-buffer × in-flight) fill-memory bound, and reverting
-//     to whole-chunk fill buffering blows it by more than any
-//     machine-to-machine noise.
+//     O(fill buffer × in-flight fills) bound of the edge's one
+//     streaming fill path, and any change that makes fills hold whole
+//     chunks blows it by more than any machine-to-machine noise.
 //
 // When the two reports record different "cpus" counts they came from
 // different machines (committed baseline vs CI container), so the

@@ -1,12 +1,11 @@
 package cluster
 
-// FetchStream keeps Fetch's whole peer-walk contract with the body
-// handed to a sink instead of materialized, and the rewritten
-// fetchFrom must never again allocate MaxChunkBytes+1 for a response
-// it already knows it will discard. The allocation-bound tests pin
-// that fix empirically: a lying peer declaring a huge Content-Length
-// costs no buffer at all, and an unbounded chunked body costs at most
-// the geometric-growth cap, never the body's size.
+// FetchStream hands the winning peer's body to a sink, and must never
+// buffer a response it already knows it will discard. The
+// allocation-bound tests pin that empirically: a lying peer declaring
+// a huge Content-Length is rejected before the sink sees a byte, and
+// an unbounded chunked body reaches the sink only up to the
+// MaxChunkBytes+1 cap, never the body's size.
 
 import (
 	"bytes"
@@ -172,12 +171,11 @@ func measureAllocs(fn func()) int64 {
 	return int64(ms.TotalAlloc - before)
 }
 
-// TestClientFetchAllocationBounded pins the fetchFrom fix: a peer
-// response the client will discard must not cost a MaxChunkBytes+1
-// buffer. 16 fetches against a peer declaring 64 MiB bodies (with the
-// default 16 MiB cap) would have allocated 256 MiB under the old code;
-// the declared size is now rejected before a single body byte is read
-// or buffered.
+// TestClientFetchAllocationBounded: a peer response the client will
+// discard must not cost a MaxChunkBytes+1 buffer. 16 fetches against
+// a peer declaring 64 MiB bodies (with the default 16 MiB cap) are
+// rejected on the declared size, before the sink — and so any buffer
+// — sees a byte.
 func TestClientFetchAllocationBounded(t *testing.T) {
 	t.Run("declared", func(t *testing.T) {
 		liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -203,8 +201,11 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 			}
 		}
 		fetch := func(c uint32) {
-			if _, err := client.Fetch(context.Background(), chunk.ID{Video: v, Index: c}); err == nil ||
-				errors.Is(err, edge.ErrPeerMiss) {
+			_, err := client.FetchStream(context.Background(), chunk.ID{Video: v, Index: c}, func(io.Reader) (int64, error) {
+				t.Fatal("sink called for a body whose declared size exceeds MaxChunkBytes")
+				return 0, nil
+			})
+			if err == nil || errors.Is(err, edge.ErrPeerMiss) {
 				t.Fatalf("oversized declared payload must be a peer failure, got %v", err)
 			}
 		}
@@ -222,8 +223,8 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 		}
 	})
 
-	// A peer that declares nothing and streams forever is bounded by
-	// the geometric-growth cap (~2×(max+1)), never by the body.
+	// A peer that declares nothing and streams forever reaches the
+	// sink only up to the MaxChunkBytes+1 cap, never the whole body.
 	t.Run("chunked", func(t *testing.T) {
 		body := bytes.Repeat([]byte("f"), 1<<20)
 		firehose := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -247,9 +248,17 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 			}
 		}
 		fetch := func(c uint32) {
-			if _, err := client.Fetch(context.Background(), chunk.ID{Video: v, Index: c}); err == nil ||
-				errors.Is(err, edge.ErrPeerMiss) {
+			var seen int64
+			_, err := client.FetchStream(context.Background(), chunk.ID{Video: v, Index: c}, func(r io.Reader) (int64, error) {
+				n, err := io.Copy(io.Discard, r)
+				seen = n
+				return n, err
+			})
+			if err == nil || errors.Is(err, edge.ErrPeerMiss) {
 				t.Fatalf("unbounded chunked payload must be a peer failure, got %v", err)
+			}
+			if seen > 64<<10+1 {
+				t.Fatalf("sink saw %d bytes, want <= MaxChunkBytes+1", seen)
 			}
 		}
 		fetch(0)
@@ -261,7 +270,7 @@ func TestClientFetchAllocationBounded(t *testing.T) {
 			}
 		})
 		// 16 × 1 MiB of body would be ≥16 MiB if the client read to EOF;
-		// the cap stops each read at 64 KiB+1 with ≤2 growth steps.
+		// the cap stops each read at 64 KiB+1.
 		if limit := int64(8 << 20); delta > limit {
 			t.Errorf("%d capped fetches allocated %d bytes, want < %d — the body is being read past the cap",
 				fetches, delta, limit)

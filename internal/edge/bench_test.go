@@ -187,10 +187,9 @@ func BenchmarkEdgeHitPathSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkFillPath compares the two fill pipelines end to end — an
-// origin body committed into a file-backed store — streaming through
-// the fixed 64 KiB scratch buffer vs the legacy whole-chunk buffer.
-// The stream variant's B/op must not scale with the chunk size (see
+// BenchmarkFillPath measures the fill pipeline end to end — an origin
+// body streamed through the fixed scratch buffer into a file-backed
+// store. B/op must not scale with the chunk size (see
 // TestStreamingFillMemoryBound for the hard bound).
 func BenchmarkFillPath(b *testing.B) {
 	const chunkSize = 256 * testK
@@ -199,48 +198,42 @@ func BenchmarkFillPath(b *testing.B) {
 		buf: make([]byte, chunkSize),
 	})
 	b.Cleanup(origin.Close)
-	for _, mode := range []struct {
-		name string
-		buf  int64
-	}{{"stream", 64 << 10}, {"buffered", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cache, err := cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: 64}, 1, cafe.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			fs, err := store.NewFS(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := NewServer(Config{
-				Cache: cache, Store: fs,
-				OriginURL: origin.URL, RedirectURL: "http://secondary.example",
-				ChunkSize: chunkSize, Alpha: 1,
-				Clock:         func() int64 { return 0 },
-				FillStreamBuf: mode.buf,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { s.Close() })
-			sh := s.shardOf(1)
-			fc := fillCtx{ctx: context.Background()}
-			b.SetBytes(chunkSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := chunk.ID{Video: 1, Index: uint32(i % 4)}
-				if err := s.fill(&fc, sh, id); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := fs.Delete(id); err != nil { // next pass refills
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
+	b.Run("stream", func(b *testing.B) {
+		cache, err := cafe.New(core.Config{ChunkSize: chunkSize, DiskChunks: 64}, 1, cafe.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs, err := store.NewFS(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := NewServer(Config{
+			Cache: cache, Store: fs,
+			OriginURL: origin.URL, RedirectURL: "http://secondary.example",
+			ChunkSize: chunkSize, Alpha: 1,
+			Clock: func() int64 { return 0 },
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close() })
+		sh := s.shardOf(1)
+		fc := fillCtx{ctx: context.Background()}
+		b.SetBytes(chunkSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id := chunk.ID{Video: 1, Index: uint32(i % 4)}
+			if err := s.fill(&fc, sh, id); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := fs.Delete(id); err != nil { // next pass refills
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkOriginChunk measures raw synthetic-content generation and

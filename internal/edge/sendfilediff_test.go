@@ -3,7 +3,7 @@ package edge
 // Differential coverage for the kernel serve path and the streaming
 // fill pipeline: the sendfile/streaming machinery may only change
 // which syscalls move the bytes — never a status, a body byte, or a
-// /stats byte. And fills must hold O(FillStreamBuf) memory, not
+// /stats byte. And fills must hold O(fill buffer) memory, not
 // O(chunk).
 
 import (
@@ -221,17 +221,17 @@ func (o *leanOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TestStreamingFillMemoryBound pins the tentpole's O(buffer) claim: a
+// TestStreamingFillMemoryBound pins the O(buffer) fill claim: a
 // synchronous fill into a file-backed store must allocate on the order
-// of FillStreamBuf, not ChunkSize. 8 fills of 2 MiB chunks through a
-// 64 KiB buffer must allocate well under one chunk of heap in total;
-// the buffered path (streaming disabled) must allocate at least the
-// full 16 MiB, proving the measurement would catch a regression.
+// of the fill buffer, not ChunkSize. 8 fills of 2 MiB chunks must
+// allocate well under one chunk of heap in total; the same fills into
+// a store.Mem, which materializes every chunk by design, must allocate
+// at least the full 16 MiB, proving the measurement would catch an
+// O(chunk) fill.
 func TestStreamingFillMemoryBound(t *testing.T) {
 	const (
 		chunkSize = int64(2 << 20)
 		chunks    = 8
-		streamBuf = int64(64 << 10)
 	)
 	origin := httptest.NewServer(&leanOrigin{
 		size: chunkSize * chunks, chunkSize: chunkSize,
@@ -239,23 +239,18 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 	})
 	defer origin.Close()
 
-	build := func(fillStreamBuf int64) *Server {
+	build := func(st store.Store) *Server {
 		t.Helper()
-		fs, err := store.NewFS(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
 		s, err := NewServer(Config{
-			Shards:        1,
-			CacheFactory:  shardFactory(t, "cafe", 2),
-			CacheConfig:   core.Config{ChunkSize: chunkSize, DiskChunks: 64},
-			Store:         fs,
-			OriginURL:     origin.URL,
-			RedirectURL:   "http://secondary.example",
-			ChunkSize:     chunkSize,
-			Alpha:         2,
-			Clock:         func() int64 { return 0 },
-			FillStreamBuf: fillStreamBuf,
+			Shards:       1,
+			CacheFactory: shardFactory(t, "cafe", 2),
+			CacheConfig:  core.Config{ChunkSize: chunkSize, DiskChunks: 64},
+			Store:        st,
+			OriginURL:    origin.URL,
+			RedirectURL:  "http://secondary.example",
+			ChunkSize:    chunkSize,
+			Alpha:        2,
+			Clock:        func() int64 { return 0 },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -281,29 +276,30 @@ func TestStreamingFillMemoryBound(t *testing.T) {
 		return int64(ms.TotalAlloc - before)
 	}
 
-	streaming := build(streamBuf)
+	fs, err := store.NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	streaming := build(fs)
 	if got := measure(streaming); got >= chunkSize {
 		t.Errorf("streaming fills allocated %d bytes for %d×%d chunks; want < one %d-byte chunk",
 			got, chunks, chunkSize, chunkSize)
 	}
 	sp := streaming.ServePathStats()
-	if sp.StreamFills != chunks || sp.BufferedFills != 0 {
-		t.Errorf("stream/buffered fills = %d/%d, want %d/0", sp.StreamFills, sp.BufferedFills, chunks)
+	if sp.StreamFills != chunks {
+		t.Errorf("stream fills = %d, want %d", sp.StreamFills, chunks)
 	}
-	if sp.FillBufPeakBytes > 2*streamBuf {
-		t.Errorf("peak fill scratch %d bytes, want <= %d (serial fills)", sp.FillBufPeakBytes, 2*streamBuf)
+	if sp.FillBufPeakBytes > 2*fillStreamBuf {
+		t.Errorf("peak fill scratch %d bytes, want <= %d (serial fills)", sp.FillBufPeakBytes, 2*fillStreamBuf)
 	}
 	if sp.FillBufInFlight != 0 {
 		t.Errorf("%d scratch bytes still checked out after fills returned", sp.FillBufInFlight)
 	}
 
-	buffered := build(-1) // streaming disabled: the old whole-chunk path
-	if got := measure(buffered); got < chunkSize*chunks {
-		t.Errorf("buffered fills allocated %d bytes; expected >= %d — the bound above is not measuring anything",
+	materialized := build(store.NewMem())
+	if got := measure(materialized); got < chunkSize*chunks {
+		t.Errorf("Mem-backed fills allocated %d bytes; expected >= %d — the bound above is not measuring anything",
 			got, chunkSize*chunks)
-	}
-	if sp := buffered.ServePathStats(); sp.BufferedFills != chunks || sp.StreamFills != 0 {
-		t.Errorf("stream/buffered fills = %d/%d, want 0/%d", sp.StreamFills, sp.BufferedFills, chunks)
 	}
 }
 

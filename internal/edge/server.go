@@ -125,20 +125,14 @@ type Config struct {
 	// differential suites; responses and /stats are byte-identical
 	// either way — only which syscall moves the bytes changes.
 	DisableSendfile bool
-	// FillStreamBuf sizes the fixed buffer a streaming fill pumps
-	// origin/peer bytes through on their way into the store, bounding
-	// fill memory at O(buffer) instead of O(chunk) for file-backed
-	// synchronous fills. 0 means 256 KiB; negative disables streaming
-	// fills entirely (whole-chunk buffering, the pre-streaming
-	// behavior, kept for A/B comparison).
-	FillStreamBuf int64
 }
 
-// defaultFillStreamBuf is the streaming-fill scratch size when
-// Config.FillStreamBuf is 0 — large enough to keep syscall count low,
-// small enough that a thousand concurrent fills cost ~¼ GB instead of
-// a thousand chunks.
-const defaultFillStreamBuf = 256 << 10
+// fillStreamBuf is the fixed buffer every fill pumps origin/peer bytes
+// through on their way into the store, bounding fill memory at
+// O(buffer) instead of O(chunk) for file-backed synchronous fills —
+// large enough to keep syscall count low, small enough that a
+// thousand concurrent fills cost ~¼ GB instead of a thousand chunks.
+const fillStreamBuf = 256 << 10
 
 // Server is the HTTP edge cache.
 //
@@ -192,11 +186,6 @@ type Server struct {
 	// sendfile(2). Nil when the store cannot expose sections, on
 	// non-unix builds, or with Config.DisableSendfile.
 	section store.SectionGetter
-	// streamPut is the store chain's streaming-write capability; fills
-	// pump bytes through a fixed scratch buffer instead of
-	// materializing whole chunks. Nil when streaming fills are
-	// disabled (FillStreamBuf < 0) or the store cannot take streams.
-	streamPut store.StreamPutter
 	// asyncWriteErrs counts deferred store writes that failed and were
 	// rolled back.
 	asyncWriteErrs atomic.Int64
@@ -225,16 +214,17 @@ type servePathCounters struct {
 	borrowChunks   atomic.Int64 // chunks lent zero-copy from RAM/mmap/pending
 	copyChunks     atomic.Int64 // chunks copied through a pooled buffer
 	streamFills    atomic.Int64 // fills streamed through a fixed scratch buffer
-	bufferedFills  atomic.Int64 // fills materialized as whole chunks in RAM
 }
 
 // ServePathStats is a point-in-time snapshot of the serve/fill path
 // counters plus the streaming-fill memory gauges.
 type ServePathStats struct {
-	SendfileChunks   int64
-	BorrowChunks     int64
-	CopyChunks       int64
-	StreamFills      int64
+	SendfileChunks int64
+	BorrowChunks   int64
+	CopyChunks     int64
+	StreamFills    int64
+	// BufferedFills is always 0: every fill streams. The field stays
+	// for callers that sum it with StreamFills.
 	BufferedFills    int64
 	FillBufInFlight  int64 // scratch bytes currently checked out by fills
 	FillBufPeakBytes int64 // high-water mark of the above
@@ -248,7 +238,6 @@ func (s *Server) ServePathStats() ServePathStats {
 		BorrowChunks:     s.servePath.borrowChunks.Load(),
 		CopyChunks:       s.servePath.copyChunks.Load(),
 		StreamFills:      s.servePath.streamFills.Load(),
-		BufferedFills:    s.servePath.bufferedFills.Load(),
 		FillBufInFlight:  s.fillInFlight.Load(),
 		FillBufPeakBytes: s.fillPeak.Load(),
 	}
@@ -420,11 +409,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.FillTimeout <= 0 {
 		cfg.FillTimeout = 15 * time.Second
 	}
-	if cfg.FillStreamBuf == 0 {
-		cfg.FillStreamBuf = defaultFillStreamBuf
-	} else if cfg.FillStreamBuf < 0 {
-		cfg.FillStreamBuf = 0 // explicit opt-out: whole-chunk fills
-	}
 
 	caches := make([]core.Cache, n)
 	if cfg.Cache != nil {
@@ -507,9 +491,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.borrow, _ = s.cfg.Store.(store.BorrowGetter)
 	if !cfg.DisableSendfile && sendfileSupported {
 		s.section, _ = s.cfg.Store.(store.SectionGetter)
-	}
-	if s.cfg.FillStreamBuf > 0 {
-		s.streamPut, _ = s.cfg.Store.(store.StreamPutter)
 	}
 	s.mux.HandleFunc("/video", s.handleVideo)
 	s.mux.HandleFunc("/peer/chunk", s.handlePeerChunk)
@@ -1094,46 +1075,39 @@ func (s *Server) runFlight(sh *edgeShard, f *flight, key uint64, id chunk.ID) {
 	close(f.done)
 }
 
-// guardedGet performs one breaker-guarded origin round trip, returning
-// at most limit body bytes. Transport errors and 5xx are retryable and
+// originGet performs one breaker-guarded origin round trip and hands
+// a 200 body to consume. Transport errors and 5xx are retryable and
 // count against the breaker; a 4xx means the origin is alive but will
-// never yield this resource (permanent).
-func (s *Server) guardedGet(ctx context.Context, url string, limit int64) ([]byte, error) {
+// never yield this resource (permanent). consume's error is classified
+// the same way: plain is retryable (a truncated or stalled body),
+// resilience.Permanent is not.
+func (s *Server) originGet(ctx context.Context, url string, consume func(io.Reader) error) (err error) {
 	if !s.breaker.Allow() {
-		return nil, resilience.ErrOpen
+		return resilience.ErrOpen
 	}
-	data, err := s.originGet(ctx, url, limit)
-	s.breaker.Record(err == nil || resilience.IsPermanent(err))
-	return data, err
-}
-
-func (s *Server) originGet(ctx context.Context, url string, limit int64) ([]byte, error) {
+	defer func() { s.breaker.Record(err == nil || resilience.IsPermanent(err)) }()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, resilience.Permanent(err)
+		return resilience.Permanent(err)
 	}
 	resp, err := s.cfg.Client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("origin returned %s", resp.Status)
 		if resp.StatusCode >= 500 {
-			return nil, err
+			return err
 		}
-		return nil, resilience.Permanent(err)
+		return resilience.Permanent(err)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	if err != nil {
-		return nil, err // truncated or stalled body: retryable
-	}
-	return data, nil
+	return consume(resp.Body)
 }
 
 // fetchChunk performs the origin round trip for one chunk, with
-// retries, and commits the bytes to the store. Ingress (Filled) is
+// retries, and streams the bytes into the store. Ingress (Filled) is
 // charged here with the chunk's actual byte count — the one place
 // bytes really arrive from origin.
 func (s *Server) fetchChunk(ctx context.Context, sh *edgeShard, id chunk.ID) error {
@@ -1146,30 +1120,22 @@ func (s *Server) fetchChunk(ctx context.Context, sh *edgeShard, id chunk.ID) err
 		}
 	}
 	url := fmt.Sprintf("%s/chunk?v=%d&c=%d", s.cfg.OriginURL, id.Video, id.Index)
-	if s.streamPut != nil {
-		return s.retrier.Do(ctx, func(ctx context.Context) error {
-			if !s.breaker.Allow() {
-				return resilience.ErrOpen
-			}
-			err := s.fillStream(ctx, sh, url, id)
-			s.breaker.Record(err == nil || resilience.IsPermanent(err))
-			return err
-		})
-	}
 	return s.retrier.Do(ctx, func(ctx context.Context) error {
-		data, err := s.guardedGet(ctx, url, s.cfg.ChunkSize+1)
-		if err != nil {
-			return err
-		}
-		if int64(len(data)) > s.cfg.ChunkSize {
-			return resilience.Permanent(fmt.Errorf("origin chunk %s larger than chunk size", id))
-		}
-		if err := s.cfg.Store.Put(id, data); err != nil {
-			return resilience.Permanent(fmt.Errorf("store: %w", err))
-		}
-		sh.counters.filled.Add(int64(len(data)))
-		s.servePath.bufferedFills.Add(1)
-		return nil
+		return s.originGet(ctx, url, func(body io.Reader) error {
+			n, bodyFailed, err := s.streamFill(id, body)
+			switch {
+			case err == nil:
+				sh.counters.filled.Add(n)
+				s.servePath.streamFills.Add(1)
+				return nil
+			case bodyFailed:
+				return err // truncated or stalled body: retryable
+			case errors.Is(err, store.ErrTooLarge):
+				return resilience.Permanent(fmt.Errorf("origin chunk %s larger than chunk size", id))
+			default:
+				return resilience.Permanent(fmt.Errorf("store: %w", err))
+			}
+		})
 	})
 }
 
@@ -1191,49 +1157,18 @@ func (t *trackReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// fillStream performs one origin round trip for a chunk, pumping the
-// body through a fixed-size scratch buffer straight into the store's
-// streaming writer — fill memory is O(FillStreamBuf), not O(chunk),
-// for file-backed synchronous stores (an async pipeline materializes
-// by design; see store.WriteBehind.PutStream). Status handling and
-// error classification mirror originGet + the buffered commit exactly:
-// 5xx and transport/truncation errors are retryable, 4xx and an
-// oversized or store-rejected chunk are Permanent.
-func (s *Server) fillStream(ctx context.Context, sh *edgeShard, url string, id chunk.ID) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return resilience.Permanent(err)
-	}
-	resp, err := s.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("origin returned %s", resp.Status)
-		if resp.StatusCode >= 500 {
-			return err
-		}
-		return resilience.Permanent(err)
-	}
-	tr := &trackReader{r: resp.Body}
+// streamFill pumps one origin or peer body through a pooled
+// fillStreamBuf scratch buffer into the store — fill memory is
+// O(buffer), not O(chunk), for file-backed synchronous stores (an
+// async pipeline materializes by design; see
+// store.WriteBehind.PutStream). bodyFailed reports that err came from
+// reading body, not from the store.
+func (s *Server) streamFill(id chunk.ID, body io.Reader) (n int64, bodyFailed bool, err error) {
+	tr := &trackReader{r: body}
 	scratch := s.fillScratchGet()
-	n, err := s.streamPut.PutStream(id, tr, s.cfg.ChunkSize, *scratch)
+	n, err = s.cfg.Store.PutStream(id, tr, s.cfg.ChunkSize, *scratch)
 	s.fillScratchPut(scratch)
-	if err != nil {
-		switch {
-		case tr.err != nil:
-			return err // truncated or stalled body: retryable
-		case errors.Is(err, store.ErrTooLarge):
-			return resilience.Permanent(fmt.Errorf("origin chunk %s larger than chunk size", id))
-		default:
-			return resilience.Permanent(fmt.Errorf("store: %w", err))
-		}
-	}
-	sh.counters.filled.Add(n)
-	s.servePath.streamFills.Add(1)
-	return nil
+	return n, tr.err != nil, err
 }
 
 // fillScratchGet checks a streaming-fill scratch buffer out of the
@@ -1242,7 +1177,7 @@ func (s *Server) fillStream(ctx context.Context, sh *edgeShard, url string, id c
 func (s *Server) fillScratchGet() *[]byte {
 	bp, _ := s.fillBufs.Get().(*[]byte)
 	if bp == nil {
-		b := make([]byte, s.cfg.FillStreamBuf)
+		b := make([]byte, fillStreamBuf)
 		bp = &b
 	}
 	cur := s.fillInFlight.Add(int64(len(*bp)))
@@ -1272,16 +1207,16 @@ func (s *Server) originSize(fc *fillCtx, sh *edgeShard, v chunk.VideoID) (int64,
 	}
 	url := fmt.Sprintf("%s/size?v=%d", s.cfg.OriginURL, v)
 	err := s.retrier.Do(fc.get(), func(ctx context.Context) error {
-		body, err := s.guardedGet(ctx, url, 32)
-		if err != nil {
-			return err
-		}
-		n, err := strconv.ParseInt(string(body), 10, 64)
-		if err != nil {
-			return resilience.Permanent(err)
-		}
-		size = n
-		return nil
+		return s.originGet(ctx, url, func(body io.Reader) error {
+			b, err := io.ReadAll(io.LimitReader(body, 32))
+			if err != nil {
+				return err // truncated or stalled body: retryable
+			}
+			if size, err = strconv.ParseInt(string(b), 10, 64); err != nil {
+				return resilience.Permanent(err)
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		sh.fillErrs.Add(1)

@@ -315,7 +315,9 @@ func committedBytes(t *testing.T, s store.Store) int64 {
 }
 
 // failPutStore fails exactly one Put of one chunk, and holds that Put
-// on the release gate so the test controls when the failure lands.
+// on the release gate so the test controls when the failure lands. It
+// backs a WriteBehind, whose deferred writes reach it through Put
+// only, so PutStream needs no override.
 type failPutStore struct {
 	store.Store
 	failKey uint64

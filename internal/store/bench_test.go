@@ -189,17 +189,13 @@ func BenchmarkStoreDelete(b *testing.B) {
 }
 
 // BenchmarkStorePutStream measures the streaming fill path per
-// StreamPutter backend: the payload pumped through a scratch buffer a
+// backend: the payload pumped through a scratch buffer a
 // quarter of its size, the shape of an origin body flowing through the
 // edge's fixed fill buffer straight into the store.
 func BenchmarkStorePutStream(b *testing.B) {
 	for _, kind := range []string{"mem", "fs", "slab", "tiered"} {
 		b.Run(kind, func(b *testing.B) {
 			s := benchOpen(b, kind)
-			sp, ok := s.(StreamPutter)
-			if !ok {
-				b.Fatalf("%s is not a StreamPutter", kind)
-			}
 			data := benchPayload()
 			ids := benchIDs()
 			scratch := make([]byte, benchSlotBytes/4)
@@ -209,7 +205,7 @@ func BenchmarkStorePutStream(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.Reset(data)
-				if _, err := sp.PutStream(ids[i%len(ids)], r, benchSlotBytes, scratch); err != nil {
+				if _, err := s.PutStream(ids[i%len(ids)], r, benchSlotBytes, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"sync"
 
@@ -23,8 +24,8 @@ type FaultConfig struct {
 	// Seed makes the fault sequence reproducible. The same seed and
 	// operation sequence yields the same faults.
 	Seed int64
-	// PutRate injects ErrInjectedNoSpace on Put — the canonical way a
-	// cache disk fails while admitting a chunk.
+	// PutRate injects ErrInjectedNoSpace on Put and PutStream — the
+	// canonical way a cache disk fails while admitting a chunk.
 	PutRate float64
 	// GetRate injects ErrInjectedIO on Get of a *present* chunk (absent
 	// chunks still return ErrNotFound so the hit/miss decision stays
@@ -106,6 +107,16 @@ func (f *Fault) Put(id chunk.ID, data []byte) error {
 		return ErrInjectedNoSpace
 	}
 	return f.inner.Put(id, data)
+}
+
+// PutStream implements Store under Put's verdict and counters: an
+// injected failure returns ErrInjectedNoSpace before r is read, and
+// the inner store is not touched.
+func (f *Fault) PutStream(id chunk.ID, r io.Reader, max int64, scratch []byte) (int64, error) {
+	if f.verdict(f.cfg.PutRate, &f.counts.Puts, &f.counts.PutFaults) {
+		return 0, ErrInjectedNoSpace
+	}
+	return f.inner.PutStream(id, r, max, scratch)
 }
 
 // Get implements Store, failing reads of present chunks with

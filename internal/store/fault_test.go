@@ -113,6 +113,36 @@ func TestFaultInjectsAndPreservesInnerState(t *testing.T) {
 	}
 }
 
+// TestFaultPutStream: PutStream draws Put's verdict and counters, and
+// a faulted stream neither reaches the inner store nor reads r.
+func TestFaultPutStream(t *testing.T) {
+	inner := NewMem()
+	f := NewFault(inner, FaultConfig{Seed: 42, PutRate: 0.5})
+	var faults int
+	for i := 0; i < 200; i++ {
+		id := chunk.ID{Video: 2, Index: uint32(i)}
+		r := bytes.NewReader([]byte{byte(i)})
+		n, err := f.PutStream(id, r, 1, nil)
+		switch {
+		case errors.Is(err, ErrInjectedNoSpace):
+			faults++
+			if inner.Has(id) || r.Len() != 1 {
+				t.Fatal("faulted PutStream must not read r or store bytes")
+			}
+		case err != nil:
+			t.Fatal(err)
+		case n != 1 || !inner.Has(id):
+			t.Fatalf("successful PutStream = %d bytes, inner has %v", n, inner.Has(id))
+		}
+	}
+	if faults == 0 || faults == 200 {
+		t.Fatalf("faults = %d, want some but not all at rate 0.5", faults)
+	}
+	if c := f.Counts(); c.Puts != 200 || int(c.PutFaults) != faults {
+		t.Errorf("Counts %+v, want 200 puts and %d faults", c, faults)
+	}
+}
+
 func TestFaultDeterministicUnderSeed(t *testing.T) {
 	run := func() []bool {
 		f := NewFault(NewMem(), FaultConfig{Seed: 99, PutRate: 0.3})

@@ -96,71 +96,25 @@ func TestFSRecoveryScanScrubsAndFilters(t *testing.T) {
 	}
 }
 
-// TestFSLegacyPathMigration: a store written under the old clustering
-// shard function must stay fully readable, and chunks must migrate to
-// the scatter path on their next Put.
-func TestFSLegacyPathMigration(t *testing.T) {
+// TestFSMisplacedFileNotIndexed: a chunk file outside its scatter
+// shard directory is unreachable by path, so the open scan must not
+// index it.
+func TestFSMisplacedFileNotIndexed(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the old layout: place a chunk at its legacy path whose
-	// scatter shard differs.
 	id := chunk.ID{Video: 3, Index: 1}
-	if fsShard(id.Key()) == legacyShard(id.Key()) {
-		t.Fatalf("test chunk's shards coincide; pick another id")
-	}
-	if err := os.WriteFile(s1.legacyPath(id), []byte("old bytes"), 0o644); err != nil {
+	wrong := fmt.Sprintf("%02x", fsShard(id.Key())+1)
+	if err := os.MkdirAll(filepath.Join(dir, wrong), 0o755); err != nil {
 		t.Fatal(err)
 	}
-
-	s2, err := NewFS(dir)
+	if err := os.WriteFile(filepath.Join(dir, wrong, "3-1"), []byte("stray"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFS(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Has(id) || s2.Len() != 1 {
-		t.Fatalf("legacy chunk not indexed: Has=%v Len=%d", s2.Has(id), s2.Len())
-	}
-	if got, err := s2.Get(id, nil); err != nil || string(got) != "old bytes" {
-		t.Fatalf("legacy Get = %q, %v", got, err)
-	}
-
-	// A replacement Put migrates the chunk: new path holds the bytes,
-	// the legacy copy is gone.
-	if err := s2.Put(id, []byte("new bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s2.legacyPath(id)); !os.IsNotExist(err) {
-		t.Errorf("legacy copy not removed by Put: %v", err)
-	}
-	if got, err := s2.Get(id, nil); err != nil || string(got) != "new bytes" {
-		t.Errorf("post-migration Get = %q, %v", got, err)
-	}
-	if s2.Len() != 1 {
-		t.Errorf("Len = %d after migration, want 1", s2.Len())
-	}
-
-	// Delete of a still-legacy chunk removes the old copy too.
-	id2 := chunk.ID{Video: 3, Index: 2}
-	if fsShard(id2.Key()) == legacyShard(id2.Key()) {
-		t.Fatalf("second test chunk's shards coincide; pick another id")
-	}
-	if err := os.WriteFile(s2.legacyPath(id2), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.Delete(id2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s3.legacyPath(id2)); !os.IsNotExist(err) {
-		t.Errorf("legacy copy not removed by Delete: %v", err)
-	}
-	if s3.Has(id2) {
-		t.Error("deleted legacy chunk still visible")
+	if s.Has(id) || s.Len() != 0 {
+		t.Errorf("misplaced file indexed: Has=%v Len=%d", s.Has(id), s.Len())
 	}
 }
 
@@ -185,8 +139,9 @@ func TestFSDurableWriteCrash(t *testing.T) {
 			if err := s1.Put(torn, []byte("lost")); err != crashErr {
 				t.Fatalf("Put with crash hook = %v, want the injected error", err)
 			}
-			if _, err := os.Stat(s1.path(torn) + ".tmp"); err != nil {
-				t.Fatalf("crash simulation left no temp file: %v", err)
+			temps, err := filepath.Glob(s1.path(torn) + ".*.tmp")
+			if err != nil || len(temps) != 1 {
+				t.Fatalf("crash simulation left temp files %v (%v), want one", temps, err)
 			}
 
 			s2, err := NewFSWithConfig(dir, FSConfig{Durable: durable})
@@ -199,7 +154,7 @@ func TestFSDurableWriteCrash(t *testing.T) {
 			if _, err := s2.Get(torn, nil); !errors.Is(err, ErrNotFound) {
 				t.Errorf("Get(torn) = %v, want ErrNotFound", err)
 			}
-			if _, err := os.Stat(s1.path(torn) + ".tmp"); !os.IsNotExist(err) {
+			if _, err := os.Stat(temps[0]); !os.IsNotExist(err) {
 				t.Errorf("temp leftover not scrubbed on reopen: %v", err)
 			}
 			if got, err := s2.Get(committed, nil); err != nil || string(got) != "safe" {

@@ -520,8 +520,10 @@ func (s *Slab) commitSlot(key uint64, loc slabLoc, seg *slabSegment, seq uint64,
 	s.mu.Lock()
 	old, replaced := s.index[key]
 	s.index[key] = slabEntry{loc: loc, len: int32(length), gen: seg.gens[loc.slot]}
+	var oldSeg *slabSegment // read under the lock: grow appends to s.segments
 	if replaced {
-		s.segments[old.loc.seg].gens[old.loc.slot]++ // in-flight readers of the old slot now retry
+		oldSeg = s.segments[old.loc.seg]
+		oldSeg.gens[old.loc.slot]++ // in-flight readers of the old slot now retry
 	}
 	s.mu.Unlock()
 
@@ -529,7 +531,7 @@ func (s *Slab) commitSlot(key uint64, loc slabLoc, seg *slabSegment, seq uint64,
 		// Invalidate the superseded header before recycling the slot;
 		// a crash in between leaves two valid headers and recovery
 		// keeps ours (higher seq).
-		if err := s.zeroHeader(s.segments[old.loc.seg], old.loc); err != nil {
+		if err := s.zeroHeader(oldSeg, old.loc); err != nil {
 			return fmt.Errorf("store: slab replace scrub: %w", err)
 		}
 		s.mu.Lock()
@@ -539,7 +541,7 @@ func (s *Slab) commitSlot(key uint64, loc slabLoc, seg *slabSegment, seq uint64,
 	return nil
 }
 
-// PutStream implements StreamPutter: the body streams through scratch
+// PutStream implements Store: the body streams through scratch
 // into a freshly allocated slot with the CRC accumulated per read, so
 // a fill holds O(len(scratch)) bytes; the header pwrite (the commit
 // point) happens only after a clean EOF, exactly as in Put. An
@@ -847,5 +849,4 @@ var (
 	_ Store         = (*Slab)(nil)
 	_ BorrowGetter  = (*Slab)(nil)
 	_ SectionGetter = (*Slab)(nil)
-	_ StreamPutter  = (*Slab)(nil)
 )

@@ -15,7 +15,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"videocdn/internal/chunk"
 )
@@ -29,6 +31,9 @@ type Store interface {
 	// Put stores data as the chunk's contents, replacing any previous
 	// value.
 	Put(id chunk.ID, data []byte) error
+	// StreamPutter is the fill path: every cache fill enters the
+	// store through PutStream.
+	StreamPutter
 	// Get returns the chunk's contents (a copy appended to buf, which
 	// may be nil) or ErrNotFound.
 	Get(id chunk.ID, buf []byte) ([]byte, error)
@@ -156,11 +161,11 @@ func (s Section) Release() {
 // are discarded.
 var ErrTooLarge = errors.New("store: streamed chunk exceeds the size limit")
 
-// StreamPutter is the optional streaming write capability: the
-// chunk's bytes are consumed from r through a fixed-size buffer
-// instead of arriving as one materialized slice, so a disk-backed
-// store writes a network fill while holding O(buffer) rather than
-// O(chunk) bytes in memory.
+// StreamPutter is the streaming write half of Store: the chunk's
+// bytes are consumed from r through a fixed-size buffer instead of
+// arriving as one materialized slice, so a disk-backed store writes a
+// network fill while holding O(buffer) rather than O(chunk) bytes in
+// memory.
 //
 // PutStream reads r to EOF and commits the bytes as the chunk's
 // contents, replacing any previous value, and returns the committed
@@ -286,7 +291,7 @@ func (s *Mem) GetBorrow(id chunk.ID) (Borrowed, error) {
 	return Borrowed{Data: data}, nil
 }
 
-// PutStream implements StreamPutter. A RAM store materializes the
+// PutStream implements Store. A RAM store materializes the
 // chunk regardless — the one allocation is the stored copy itself, so
 // scratch is ignored and nothing transient survives the call.
 func (s *Mem) PutStream(id chunk.ID, r io.Reader, max int64, _ []byte) (int64, error) {
@@ -338,9 +343,9 @@ func (s *Mem) Len() int {
 
 // FSConfig tunes the filesystem store.
 type FSConfig struct {
-	// Durable makes Put fsync the temp file before the rename and the
-	// shard directory after it, so a committed chunk survives power
-	// loss (not just process crash). Off by default: a video cache can
+	// Durable makes every write fsync the temp file before the rename
+	// and the shard directory after it, so a committed chunk survives
+	// power loss (not just process crash). Off by default: a video cache can
 	// refetch lost chunks from the origin, so most deployments prefer
 	// the cheaper rename-only atomicity.
 	Durable bool
@@ -355,14 +360,13 @@ type FS struct {
 	mu   sync.RWMutex
 	n    int
 	seen map[uint64]struct{}
-	// legacy holds keys whose file still sits at the pre-scatter shard
-	// path (see legacyShard). Reads fall back there; the copy is
-	// migrated away by the next Put or Delete of the chunk.
-	legacy map[uint64]struct{}
+	// tmpSeq numbers temp files, so concurrent writes of one chunk
+	// never share (and truncate) a temp file.
+	tmpSeq atomic.Uint64
 
-	// crashAfterTemp, when set by a test, makes Put stop after writing
-	// the temp file — simulating a crash between the write and the
-	// rename.
+	// crashAfterTemp, when set by a test, makes a write stop after
+	// filling its temp file — simulating a crash between the write and
+	// the rename.
 	crashAfterTemp func() error
 }
 
@@ -373,12 +377,6 @@ type FS struct {
 // them uniformly across all 256.
 func fsShard(key uint64) uint8 {
 	return uint8((key * 0x9E3779B97F4A7C15) >> 56)
-}
-
-// legacyShard is the pre-scatter shard function, kept so a store
-// written by an older layout stays readable in place.
-func legacyShard(key uint64) uint8 {
-	return uint8(key >> 3 % 256)
 }
 
 // parseChunkName parses a "<video>-<index>" chunk filename. It
@@ -450,15 +448,12 @@ func NewFSWithConfig(root string, cfg FSConfig) (*FS, error) {
 		}
 	}
 	s := &FS{
-		root:   root,
-		cfg:    cfg,
-		seen:   make(map[uint64]struct{}),
-		legacy: make(map[uint64]struct{}),
+		root: root,
+		cfg:  cfg,
+		seen: make(map[uint64]struct{}),
 	}
-	// Recover existing chunks (restart support). Files at their old
-	// pre-scatter shard path are indexed as legacy so they stay
-	// readable without a stop-the-world migration; stray .tmp files
-	// from a crashed Put are removed.
+	// Recover existing chunks (restart support); stray .tmp files from
+	// a crashed write are removed.
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, err
@@ -486,19 +481,14 @@ func NewFSWithConfig(root string, cfg FSConfig) (*FS, error) {
 			if _, dup := s.seen[key]; dup {
 				continue
 			}
-			switch e.Name() {
-			case fmt.Sprintf("%02x", fsShard(key)):
-				s.seen[key] = struct{}{}
-				s.n++
-			case fmt.Sprintf("%02x", legacyShard(key)):
-				s.seen[key] = struct{}{}
-				s.n++
-				s.legacy[key] = struct{}{}
-			default:
-				// A chunk file in a directory neither shard function
-				// maps to is unreachable by path(); don't index what
-				// Get could never read.
+			if e.Name() != fmt.Sprintf("%02x", fsShard(key)) {
+				// A chunk file outside its shard directory is
+				// unreachable by path(); don't index what Get could
+				// never read.
+				continue
 			}
+			s.seen[key] = struct{}{}
+			s.n++
 		}
 	}
 	return s, nil
@@ -509,35 +499,44 @@ func (s *FS) path(id chunk.ID) string {
 	return filepath.Join(s.root, shard, fmt.Sprintf("%d-%d", id.Video, id.Index))
 }
 
-// legacyPath is the chunk's location under the pre-scatter layout.
-func (s *FS) legacyPath(id chunk.ID) string {
-	shard := fmt.Sprintf("%02x", legacyShard(id.Key()))
-	return filepath.Join(s.root, shard, fmt.Sprintf("%d-%d", id.Video, id.Index))
-}
-
-// isLegacy reports whether the chunk's bytes live at the old path.
-func (s *FS) isLegacy(key uint64) bool {
-	s.mu.RLock()
-	_, ok := s.legacy[key]
-	s.mu.RUnlock()
-	return ok
-}
-
 // Put implements Store.
 func (s *FS) Put(id chunk.ID, data []byte) error {
+	return s.write(id, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// write is the one create-and-commit path behind Put and PutStream:
+// fill writes the chunk into a temp file private to this call, which
+// is renamed over the chunk's path only once fill (and, if Durable,
+// the fsync) succeeded. Each write's temp name is unique, so
+// concurrent writes of one chunk never clobber each other's bytes and
+// the last rename wins whole. An aborted write removes its temp file
+// and leaves any committed value intact.
+func (s *FS) write(id chunk.ID, fill func(f *os.File) error) error {
 	p := s.path(id)
-	tmp := p + ".tmp"
-	if s.cfg.Durable {
-		if err := writeFileSync(tmp, data); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp := p + "." + strconv.FormatUint(s.tmpSeq.Add(1), 10) + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	err = fill(f)
+	if err == nil && s.cfg.Durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if s.crashAfterTemp != nil {
 		return s.crashAfterTemp()
 	}
 	if err := os.Rename(tmp, p); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if s.cfg.Durable {
@@ -545,25 +544,13 @@ func (s *FS) Put(id chunk.ID, data []byte) error {
 			return err
 		}
 	}
-	s.commitKey(id)
+	s.mu.Lock()
+	if _, ok := s.seen[id.Key()]; !ok {
+		s.seen[id.Key()] = struct{}{}
+		s.n++
+	}
+	s.mu.Unlock()
 	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // syncDir fsyncs a directory, making a completed rename durable.
@@ -585,11 +572,6 @@ func syncDir(dir string) error {
 // chunks without allocating.
 func (s *FS) Get(id chunk.ID, buf []byte) ([]byte, error) {
 	f, err := os.Open(s.path(id))
-	if err != nil && os.IsNotExist(err) && s.isLegacy(id.Key()) {
-		// Migration fallback: the chunk predates the scatter shard
-		// function and still lives at its old path.
-		f, err = os.Open(s.legacyPath(id))
-	}
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -622,9 +604,6 @@ func (s *FS) Get(id chunk.ID, buf []byte) ([]byte, error) {
 // so the section's bytes stay readable until Release.
 func (s *FS) GetSection(id chunk.ID) (Section, error) {
 	f, err := os.Open(s.path(id))
-	if err != nil && os.IsNotExist(err) && s.isLegacy(id.Key()) {
-		f, err = os.Open(s.legacyPath(id))
-	}
 	if err != nil {
 		if os.IsNotExist(err) {
 			return Section{}, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -639,89 +618,38 @@ func (s *FS) GetSection(id chunk.ID) (Section, error) {
 	return Section{f: f, off: 0, n: fi.Size(), closeFile: true}, nil
 }
 
-// PutStream implements StreamPutter: the body streams through scratch
+// PutStream implements Store: the body streams through scratch
 // straight into the temp file, so a fill holds O(len(scratch)) bytes
-// however large the chunk is. The commit (rename, fsync policy, index
-// bookkeeping) is exactly Put's; an aborted stream removes the temp
-// file and leaves any committed value intact.
+// however large the chunk is. The commit is Put's.
 func (s *FS) PutStream(id chunk.ID, r io.Reader, max int64, scratch []byte) (int64, error) {
-	p := s.path(id)
-	tmp := p + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
 	if len(scratch) == 0 {
 		scratch = make([]byte, 64<<10)
 	}
 	var total int64
-	abort := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	for {
-		n, rerr := r.Read(scratch)
-		if n > 0 {
-			if total+int64(n) > max {
-				return abort(ErrTooLarge)
+	err := s.write(id, func(f *os.File) error {
+		for {
+			n, rerr := r.Read(scratch)
+			if n > 0 {
+				if total+int64(n) > max {
+					return ErrTooLarge
+				}
+				if _, werr := f.Write(scratch[:n]); werr != nil {
+					return werr
+				}
+				total += int64(n)
 			}
-			if _, werr := f.Write(scratch[:n]); werr != nil {
-				return abort(werr)
+			if rerr == io.EOF {
+				return nil
 			}
-			total += int64(n)
+			if rerr != nil {
+				return rerr
+			}
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return abort(rerr)
-		}
-	}
-	if s.cfg.Durable {
-		if err := f.Sync(); err != nil {
-			return abort(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	})
+	if err != nil {
 		return 0, err
 	}
-	if s.crashAfterTemp != nil {
-		return 0, s.crashAfterTemp()
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if s.cfg.Durable {
-		if err := syncDir(filepath.Dir(p)); err != nil {
-			return 0, err
-		}
-	}
-	s.commitKey(id)
 	return total, nil
-}
-
-// commitKey records a freshly renamed chunk file in the index and
-// migrates away any legacy-path copy (shared by Put and PutStream).
-func (s *FS) commitKey(id chunk.ID) {
-	key := id.Key()
-	s.mu.Lock()
-	if _, ok := s.seen[key]; !ok {
-		s.seen[key] = struct{}{}
-		s.n++
-	}
-	wasLegacy := false
-	if _, ok := s.legacy[key]; ok {
-		delete(s.legacy, key)
-		wasLegacy = true
-	}
-	s.mu.Unlock()
-	if wasLegacy {
-		// The fresh copy at the new path supersedes the old one.
-		_ = os.Remove(s.legacyPath(id))
-	}
 }
 
 // Delete implements Store.
@@ -736,17 +664,7 @@ func (s *FS) Delete(id chunk.ID) error {
 		delete(s.seen, key)
 		s.n--
 	}
-	wasLegacy := false
-	if _, ok := s.legacy[key]; ok {
-		delete(s.legacy, key)
-		wasLegacy = true
-	}
 	s.mu.Unlock()
-	if wasLegacy {
-		if err := os.Remove(s.legacyPath(id)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -769,7 +687,5 @@ var (
 	_ Store         = (*Mem)(nil)
 	_ Store         = (*FS)(nil)
 	_ BorrowGetter  = (*Mem)(nil)
-	_ StreamPutter  = (*Mem)(nil)
-	_ StreamPutter  = (*FS)(nil)
 	_ SectionGetter = (*FS)(nil)
 )

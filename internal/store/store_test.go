@@ -205,6 +205,43 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestConcurrentSameChunkWriters: overlapping Put and PutStream of one
+// chunk must both succeed and leave exactly one writer's value — never
+// a mix of the two or a truncated file.
+func TestConcurrentSameChunkWriters(t *testing.T) {
+	a := bytes.Repeat([]byte("a"), 1000)
+	b := bytes.Repeat([]byte("b"), 600)
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			id := chunk.ID{Video: 9, Index: 4}
+			for round := 0; round < 200; round++ {
+				var wg sync.WaitGroup
+				var putErr, streamErr error
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					putErr = s.Put(id, a)
+				}()
+				go func() {
+					defer wg.Done()
+					_, streamErr = s.PutStream(id, bytes.NewReader(b), int64(len(b)), make([]byte, 64))
+				}()
+				wg.Wait()
+				if putErr != nil || streamErr != nil {
+					t.Fatalf("round %d: Put = %v, PutStream = %v", round, putErr, streamErr)
+				}
+				got, err := s.Get(id, nil)
+				if err != nil {
+					t.Fatalf("round %d: Get: %v", round, err)
+				}
+				if !bytes.Equal(got, a) && !bytes.Equal(got, b) {
+					t.Fatalf("round %d: chunk is neither written value (%d bytes)", round, len(got))
+				}
+			}
+		})
+	}
+}
+
 // TestGetReusesBufferCapacity: a buffer with spare capacity must be
 // read into in place, not replaced with a fresh allocation — the edge
 // serve path cycles one pooled buffer through Get per chunk.

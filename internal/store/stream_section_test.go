@@ -1,11 +1,11 @@
 package store
 
-// Conformance suite for the two streaming contracts PR 9 adds:
-// StreamPutter (fills pumped through a fixed buffer) and SectionGetter
-// (chunks exposed as file sections for the kernel serve path). Every
-// store in stores() is run against every case; stores that do not
-// implement a capability are exercised for graceful degradation
-// (ErrNoSection) rather than skipped silently.
+// Conformance suite for the two streaming contracts: PutStream (fills
+// pumped through a fixed buffer) and SectionGetter (chunks exposed as
+// file sections for the kernel serve path). Every store in stores() is
+// run against every case; stores without SectionGetter are exercised
+// for graceful degradation (ErrNoSection) rather than skipped
+// silently.
 
 import (
 	"bytes"
@@ -48,13 +48,9 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 func TestPutStreamMatchesPut(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
-			sp, ok := s.(StreamPutter)
-			if !ok {
-				t.Skipf("%s does not stream", name)
-			}
 			id := chunk.ID{Video: 11, Index: 2}
 			data := bytes.Repeat([]byte("stream me "), 40) // spans several scratch reads
-			n, err := sp.PutStream(id, bytes.NewReader(data), int64(len(data)), make([]byte, 64))
+			n, err := s.PutStream(id, bytes.NewReader(data), int64(len(data)), make([]byte, 64))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +65,7 @@ func TestPutStreamMatchesPut(t *testing.T) {
 				t.Errorf("Get after PutStream diverges (%d vs %d bytes)", len(got), len(data))
 			}
 			// nil scratch must work too (implementations pick a default).
-			if _, err := sp.PutStream(id, bytes.NewReader(data), int64(len(data)), nil); err != nil {
+			if _, err := s.PutStream(id, bytes.NewReader(data), int64(len(data)), nil); err != nil {
 				t.Fatalf("nil scratch: %v", err)
 			}
 		})
@@ -79,10 +75,6 @@ func TestPutStreamMatchesPut(t *testing.T) {
 func TestPutStreamOversizeAndReaderError(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
-			sp, ok := s.(StreamPutter)
-			if !ok {
-				t.Skipf("%s does not stream", name)
-			}
 			id := chunk.ID{Video: 12, Index: 5}
 			prev := []byte("previous value survives every failed stream")
 			if err := s.Put(id, prev); err != nil {
@@ -91,7 +83,7 @@ func TestPutStreamOversizeAndReaderError(t *testing.T) {
 
 			// One byte over max → ErrTooLarge, prior value intact.
 			over := bytes.Repeat([]byte("x"), 101)
-			if _, err := sp.PutStream(id, bytes.NewReader(over), 100, make([]byte, 32)); !errors.Is(err, ErrTooLarge) {
+			if _, err := s.PutStream(id, bytes.NewReader(over), 100, make([]byte, 32)); !errors.Is(err, ErrTooLarge) {
 				t.Fatalf("oversize stream: got %v, want ErrTooLarge", err)
 			}
 			if got, err := s.Get(id, nil); err != nil || !bytes.Equal(got, prev) {
@@ -100,7 +92,7 @@ func TestPutStreamOversizeAndReaderError(t *testing.T) {
 
 			// Exactly max is accepted.
 			exact := bytes.Repeat([]byte("y"), 100)
-			if _, err := sp.PutStream(id, bytes.NewReader(exact), 100, make([]byte, 32)); err != nil {
+			if _, err := s.PutStream(id, bytes.NewReader(exact), 100, make([]byte, 32)); err != nil {
 				t.Fatalf("exact-max stream: %v", err)
 			}
 			if err := s.Put(id, prev); err != nil {
@@ -110,7 +102,7 @@ func TestPutStreamOversizeAndReaderError(t *testing.T) {
 			// A reader that dies mid-stream: its error comes back (not
 			// wrapped into a store error) and the prior value survives.
 			boom := errors.New("mid-body truncation")
-			_, err := sp.PutStream(id, &errAfterReader{data: []byte("partial"), err: boom}, 100, make([]byte, 4))
+			_, err := s.PutStream(id, &errAfterReader{data: []byte("partial"), err: boom}, 100, make([]byte, 4))
 			if !errors.Is(err, boom) {
 				t.Fatalf("reader error: got %v, want %v", err, boom)
 			}

@@ -368,30 +368,14 @@ func (t *Tiered) Put(id chunk.ID, data []byte) error {
 	return nil
 }
 
-// PutStream implements StreamPutter: stream to the cold store when it
-// can take a stream, otherwise materialize and write through. Either
-// way the bytes pass this layer without being retained, so any stale
-// hot copy must be demoted (the stream is gone; there is nothing to
-// update it with). The bookkeeping — epoch bump, demotion counted as
-// an eviction — is identical in both branches so tier counters never
-// depend on which backend sits below.
+// PutStream implements Store: stream to the cold store. The bytes
+// pass this layer without being retained, so any stale hot copy must
+// be demoted (the stream is gone; there is nothing to update it with),
+// counted as an eviction.
 func (t *Tiered) PutStream(id chunk.ID, r io.Reader, max int64, scratch []byte) (int64, error) {
-	var n int64
-	if sp, ok := t.cold.(StreamPutter); ok {
-		var err error
-		n, err = sp.PutStream(id, r, max, scratch)
-		if err != nil {
-			return n, err
-		}
-	} else {
-		data, err := readAtMost(r, max)
-		if err != nil {
-			return 0, err
-		}
-		if err := t.cold.Put(id, data); err != nil {
-			return 0, err
-		}
-		n = int64(len(data))
+	n, err := t.cold.PutStream(id, r, max, scratch)
+	if err != nil {
+		return n, err
 	}
 	key := id.Key()
 	st := t.stripe(key)
@@ -488,7 +472,6 @@ func (t *Tiered) DropHot() {
 var (
 	_ Store        = (*Tiered)(nil)
 	_ BorrowGetter = (*Tiered)(nil)
-	_ StreamPutter = (*Tiered)(nil)
 	_ fmt.Stringer = (*Tiered)(nil)
 )
 

@@ -258,7 +258,9 @@ func TestTieredReadYourWritesUnderWriteBehind(t *testing.T) {
 	}
 }
 
-// gatedStore blocks Put until the gate closes.
+// gatedStore blocks Put until the gate closes. It sits under
+// WriteBehind(Tiered(·)), whose deferred writes reach the cold store
+// through Put only, so PutStream needs no gate.
 type gatedStore struct {
 	Store
 	gate <-chan struct{}

@@ -125,7 +125,7 @@ func (w *WriteBehind) Put(id chunk.ID, data []byte) error {
 	return w.putOwned(id, append([]byte(nil), data...))
 }
 
-// PutStream implements StreamPutter. Write-behind's contract is that
+// PutStream implements Store. Write-behind's contract is that
 // pending bytes are readable the moment the call returns, which
 // requires materializing the stream in RAM — but that materialized
 // slice IS the pending entry a deferred Put would have copied anyway,
@@ -302,19 +302,27 @@ func (w *WriteBehind) Delete(id chunk.ID) error {
 
 // Len implements Store: the size of the union of live pending keys and
 // backing keys. Pending sets are queue-bounded, so the walk is cheap.
+// A deferred write landing between the backing count and the walk
+// would be missed by both, so the count is retaken (a few times at
+// most) until the backing size held still across the walk.
 func (w *WriteBehind) Len() int {
-	n := w.backing.Len()
-	for i := range w.stripes {
-		st := &w.stripes[i]
-		st.mu.Lock()
-		for _, e := range st.pending {
-			if !e.canceled && !w.backing.Has(e.id) {
-				n++
+	for attempt := 0; ; attempt++ {
+		before := w.backing.Len()
+		n := before
+		for i := range w.stripes {
+			st := &w.stripes[i]
+			st.mu.Lock()
+			for _, e := range st.pending {
+				if !e.canceled && !w.backing.Has(e.id) {
+					n++
+				}
 			}
+			st.mu.Unlock()
 		}
-		st.mu.Unlock()
+		if w.backing.Len() == before || attempt == 3 {
+			return n
+		}
 	}
-	return n
 }
 
 // Pending reports how many deferred writes are queued or in flight.
@@ -365,5 +373,4 @@ var (
 	_ Store         = (*WriteBehind)(nil)
 	_ BorrowGetter  = (*WriteBehind)(nil)
 	_ SectionGetter = (*WriteBehind)(nil)
-	_ StreamPutter  = (*WriteBehind)(nil)
 )

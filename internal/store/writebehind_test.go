@@ -14,7 +14,8 @@ import (
 // blockingStore wraps Mem and lets a test hold every Put until
 // released, exposing the write-behind window. entered (buffered) gets
 // a token whenever a Put reaches the backing store, so tests can
-// sequence deterministically against the worker.
+// sequence deterministically against the worker. Overriding Put alone
+// suffices: WriteBehind reaches its backing store only through Put.
 type blockingStore struct {
 	*Mem
 	gate    chan struct{} // each Put receives once before writing
@@ -31,7 +32,8 @@ func (s *blockingStore) Put(id chunk.ID, data []byte) error {
 	return s.Mem.Put(id, data)
 }
 
-// failingStore rejects Puts for a chosen chunk.
+// failingStore rejects Puts for a chosen chunk. It only ever backs a
+// WriteBehind, which writes its backing store through Put alone.
 type failingStore struct {
 	*Mem
 	failKey uint64
