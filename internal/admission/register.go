@@ -25,6 +25,9 @@ func init() {
 			{Key: "halve_every", Kind: policy.KindInt, Default: DefaultHalveEvery, Doc: "halve frequency counts every N requests (negative disables)"},
 		},
 		New: func(cfg core.Config, p policy.Params) (core.Cache, error) {
+			if err := core.CheckAlpha(p["alpha"].(float64)); err != nil {
+				return nil, err
+			}
 			innerName := p["inner"].(string)
 			spec, ok := policy.Lookup(innerName)
 			if !ok {

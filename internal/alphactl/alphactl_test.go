@@ -1,6 +1,7 @@
 package alphactl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,8 +36,10 @@ func TestSetAlphaOnCaches(t *testing.T) {
 	if err := c.SetAlpha(3); err != nil || c.Alpha() != 3 {
 		t.Errorf("SetAlpha: %v, alpha=%v", err, c.Alpha())
 	}
-	if err := c.SetAlpha(0); err == nil {
-		t.Error("SetAlpha(0) should fail")
+	for _, bad := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := c.SetAlpha(bad); err == nil || c.Alpha() != 3 {
+			t.Errorf("SetAlpha(%v) = %v, alpha now %v; want an error and alpha 3", bad, err, c.Alpha())
+		}
 	}
 	x, err := xlru.New(core.Config{ChunkSize: testK, DiskChunks: 4}, 2)
 	if err != nil {
@@ -45,8 +48,10 @@ func TestSetAlphaOnCaches(t *testing.T) {
 	if err := x.SetAlpha(1.5); err != nil || x.Alpha() != 1.5 {
 		t.Errorf("xlru SetAlpha: %v, alpha=%v", err, x.Alpha())
 	}
-	if err := x.SetAlpha(-1); err == nil {
-		t.Error("xlru SetAlpha(-1) should fail")
+	for _, bad := range []float64{-1, math.NaN()} {
+		if err := x.SetAlpha(bad); err == nil || x.Alpha() != 1.5 {
+			t.Errorf("xlru SetAlpha(%v) = %v, alpha now %v; want an error and alpha 1.5", bad, err, x.Alpha())
+		}
 	}
 }
 

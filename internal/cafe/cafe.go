@@ -67,10 +67,22 @@ const cleanupInterval = 8192
 // not been observed yet (only one request seen).
 const unknownDT = -1
 
-// iatEntry is the per-chunk popularity state of Eq. 8.
+// absentDT marks, in the per-request scratch only, a chunk that has no
+// IAT entry at all (never seen, or pruned).
+const absentDT = -2
+
+// iatEntry is the per-chunk popularity state of Eq. 8 plus the chunk's
+// place on disk. The time is an int32 offset so the entry stays 16
+// bytes: the table holds the whole recent request history, far more
+// entries than the disk holds chunks.
 type iatEntry struct {
 	dt float64 // smoothed inter-arrival time; unknownDT if unseen
-	t  int64   // last access time t_x
+	t  int32   // last access time t_x, in seconds since firstTime
+	// node is the chunk's handle in the ordered set, ordtree.Nil while
+	// it is not on disk. The file-level ablation shares one entry per
+	// video, so there the chunks' handles live in the videos index and
+	// node stays Nil.
+	node ordtree.Node
 }
 
 // Options tune Cafe beyond the shared core.Config.
@@ -99,9 +111,9 @@ type Cache struct {
 	minFR float64
 	opt   Options
 
-	iat    map[uint64]iatEntry // iatKey -> popularity state
-	tree   *ordtree.Tree       // cached chunks (packed chunk keys), keyed by k_x
-	videos map[chunk.VideoID]map[uint32]struct{}
+	iat    map[uint64]iatEntry // iatKey -> popularity state and disk node
+	tree   ordtree.Arena       // cached chunks (packed chunk keys), keyed by k_x
+	videos map[chunk.VideoID]map[uint32]ordtree.Node
 
 	firstTime int64
 	started   bool
@@ -110,15 +122,17 @@ type Cache struct {
 
 	fillGate func(chunks int, now int64) bool
 
-	// victimsBuf is the eviction-scan scratch buffer, reused on every
-	// request (victim IDs never escape HandleRequest). missingBuf and
+	// reqBuf holds the IAT entries of the request being served and
+	// victimsBuf its eviction candidates; both are reused on every
+	// request and never escape HandleRequest. missingBuf and
 	// evictedBuf back Outcome.FilledIDs/EvictedIDs when the caller
 	// opted into core.Config.ReuseOutcomeBuffers. setPool recycles the
 	// per-video chunk-index sets freed by full eviction.
-	victimsBuf []uint64
+	reqBuf     []iatEntry
+	victimsBuf []ordtree.Node
 	missingBuf []chunk.ID
 	evictedBuf []chunk.ID
-	setPool    []map[uint32]struct{}
+	setPool    []map[uint32]ordtree.Node
 }
 
 // SetFillGate installs an optional admission throttle consulted before
@@ -135,34 +149,37 @@ func New(cfg core.Config, alpha float64, opt Options) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if alpha <= 0 {
-		return nil, core.ErrBadAlpha
+	if err := core.CheckAlpha(alpha); err != nil {
+		return nil, err
 	}
 	if opt.Gamma == 0 {
 		opt.Gamma = DefaultGamma
 	}
-	if opt.Gamma < 0 || opt.Gamma > 1 {
+	if !(opt.Gamma > 0 && opt.Gamma <= 1) {
 		return nil, core.ErrBadGamma
 	}
 	if opt.WindowScale == 0 {
 		opt.WindowScale = 1
 	}
-	if opt.WindowScale < 0 {
+	if !(opt.WindowScale > 0 && opt.WindowScale <= math.MaxFloat64) {
 		return nil, core.ErrBadWindow
 	}
-	cf := 2 * alpha / (alpha + 1)
-	cr := 2 / (alpha + 1)
-	return &Cache{
+	c := &Cache{
 		cfg:    cfg,
-		alpha:  alpha,
-		cf:     cf,
-		cr:     cr,
-		minFR:  math.Min(cf, cr),
 		opt:    opt,
 		iat:    make(map[uint64]iatEntry),
-		tree:   ordtree.New(),
-		videos: make(map[chunk.VideoID]map[uint32]struct{}),
-	}, nil
+		videos: make(map[chunk.VideoID]map[uint32]ordtree.Node),
+	}
+	c.setCosts(alpha)
+	return c, nil
+}
+
+// setCosts derives the Eq. 2 cost constants from alpha.
+func (c *Cache) setCosts(alpha float64) {
+	c.alpha = alpha
+	c.cf = 2 * alpha / (alpha + 1)
+	c.cr = 2 / (alpha + 1)
+	c.minFR = math.Min(c.cf, c.cr)
 }
 
 // Name implements core.Cache.
@@ -178,13 +195,10 @@ func (c *Cache) Alpha() float64 { return c.alpha }
 // Only the cost constants change — popularity state and tree keys are
 // alpha-independent, so the switch is O(1).
 func (c *Cache) SetAlpha(alpha float64) error {
-	if alpha <= 0 {
-		return core.ErrBadAlpha
+	if err := core.CheckAlpha(alpha); err != nil {
+		return err
 	}
-	c.alpha = alpha
-	c.cf = 2 * alpha / (alpha + 1)
-	c.cr = 2 / (alpha + 1)
-	c.minFR = math.Min(c.cf, c.cr)
+	c.setCosts(alpha)
 	return nil
 }
 
@@ -192,7 +206,16 @@ func (c *Cache) SetAlpha(alpha float64) error {
 func (c *Cache) Len() int { return c.tree.Len() }
 
 // Contains implements core.Cache.
-func (c *Cache) Contains(id chunk.ID) bool { return c.tree.Contains(id.Key()) }
+func (c *Cache) Contains(id chunk.ID) bool { return c.nodeOf(id) != ordtree.Nil }
+
+// nodeOf returns the chunk's handle in the ordered set, ordtree.Nil
+// when it is not on disk.
+func (c *Cache) nodeOf(id chunk.ID) ordtree.Node {
+	if c.opt.FileLevel {
+		return c.videos[id.Video][id.Index]
+	}
+	return c.iat[id.Key()].node
+}
 
 // iatKey maps a chunk to its popularity-tracking key. In the
 // file-level ablation all chunks of a video share one entry.
@@ -203,21 +226,36 @@ func (c *Cache) iatKey(id chunk.ID) uint64 {
 	return id.Key()
 }
 
+// entry returns the IAT entry stored under k, or one marked absentDT.
+func (c *Cache) entry(k uint64) iatEntry {
+	if e, ok := c.iat[k]; ok {
+		return e
+	}
+	return iatEntry{dt: absentDT}
+}
+
+// lastSeen returns the entry's last access time t_x.
+func (c *Cache) lastSeen(e iatEntry) int64 { return c.firstTime + int64(e.t) }
+
+// offset converts a request time to an entry's int32 time offset. The
+// callers guarantee now - firstTime <= math.MaxInt32.
+func (c *Cache) offset(now int64) int32 { return int32(now - c.firstTime) }
+
 // iatAt evaluates Eq. 8 at time now for the given entry.
 func (c *Cache) iatAt(e iatEntry, now int64) float64 {
 	g := c.opt.Gamma
-	return g*float64(now-e.t) + (1-g)*e.dt
+	return g*float64(now-c.lastSeen(e)) + (1-g)*e.dt
 }
 
 // CacheAge returns the window T: the IAT of the least popular cached
 // chunk at time now (see the package comment for why this equals the
 // virtual cache age t − key_min(t)). Zero when the disk is empty.
 func (c *Cache) CacheAge(now int64) float64 {
-	id, _, ok := c.tree.Min()
-	if !ok {
+	x := c.tree.Min()
+	if x == ordtree.Nil {
 		return 0
 	}
-	e, ok := c.iat[c.iatKey(chunk.FromKey(id))]
+	e, ok := c.iat[c.iatKey(chunk.FromKey(c.tree.ID(x)))]
 	if !ok || e.dt == unknownDT {
 		// Every cached chunk is given a concrete dt at fill time;
 		// reaching this would mean corrupted bookkeeping.
@@ -229,7 +267,7 @@ func (c *Cache) CacheAge(now int64) float64 {
 // treeKey is the time-invariant ordering key k_x = γ·t_x − (1−γ)·dt_x.
 func (c *Cache) treeKey(e iatEntry) float64 {
 	g := c.opt.Gamma
-	return g*float64(e.t) - (1-g)*e.dt
+	return g*float64(c.lastSeen(e)) - (1-g)*e.dt
 }
 
 // futureCost returns (T/IAT_x)·min(C_F, C_R) — the expected cost of the
@@ -242,7 +280,9 @@ func (c *Cache) futureCost(e iatEntry, now int64, window float64) float64 {
 	return window / iat * c.minFR
 }
 
-// HandleRequest implements core.Cache.
+// HandleRequest implements core.Cache. Each requested chunk's IAT
+// entry is read once into c.reqBuf, which carries its disk node too,
+// and written back once at the end.
 func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	now := r.Time
 	if c.started && now < c.lastTime {
@@ -251,6 +291,9 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	if !c.started {
 		c.firstTime = now
 		c.started = true
+	}
+	if now-c.firstTime > math.MaxInt32 {
+		panic("cafe: request more than 2^31 s after the first one")
 	}
 	c.lastTime = now
 	c.requests++
@@ -261,7 +304,15 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	c0, c1 := r.ChunkRange(c.cfg.ChunkSize)
 	nChunks := int(c1-c0) + 1
 	if nChunks > c.cfg.DiskChunks {
-		c.observe(r.Video, c0, c1, now)
+		// Record the arrival chunk by chunk: the range may be far wider
+		// than any scratch buffer should grow.
+		for ci := c0; ci <= c1; ci++ {
+			k := c.iatKey(chunk.ID{Video: r.Video, Index: ci})
+			c.iat[k] = c.seen(c.entry(k), now)
+			if c.opt.FileLevel {
+				break
+			}
+		}
 		return core.Outcome{Decision: core.Redirect}
 	}
 
@@ -269,35 +320,29 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	// that must never be evicted are exactly the packed-key range
 	// [loKey, hiKey] (chunk keys of one video are contiguous), so no
 	// per-request skip set is needed.
-	loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
-	hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
-	var missing []chunk.ID
-	if c.cfg.ReuseOutcomeBuffers {
-		missing = c.missingBuf[:0]
-	}
-	for ci := c0; ci <= c1; ci++ {
-		id := chunk.ID{Video: r.Video, Index: ci}
-		if !c.tree.Contains(id.Key()) {
-			missing = append(missing, id)
+	s := c.lookup(r.Video, c0, c1)
+	nMissing := 0
+	for i := range s {
+		if s[i].node == ordtree.Nil {
+			nMissing++
 		}
 	}
-	if c.cfg.ReuseOutcomeBuffers {
-		c.missingBuf = missing
-	}
+	loKey := chunk.ID{Video: r.Video, Index: c0}.Key()
+	hiKey := chunk.ID{Video: r.Video, Index: c1}.Key()
 
 	serve := false
-	var victims []uint64
+	var victims []ordtree.Node
 	free := c.cfg.DiskChunks - c.tree.Len()
-	needEvict := len(missing) - free
+	needEvict := nMissing - free
 	if needEvict < 0 {
 		needEvict = 0
 	}
 
 	switch {
-	case len(missing) == 0:
+	case nMissing == 0:
 		// Full hit: nothing to fill, serving is free.
 		serve = true
-	case free >= len(missing):
+	case free >= nMissing:
 		// Warmup: free space makes filling unconditionally worthwhile
 		// (there is nothing to evict and no cache age to compare to).
 		serve = true
@@ -311,9 +356,9 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 			break
 		}
 		window := c.CacheAge(now) * c.opt.WindowScale
-		costServe := float64(len(missing)) * c.cf
-		for _, vid := range victims {
-			e, ok := c.iat[c.iatKey(chunk.FromKey(vid))]
+		costServe := float64(nMissing) * c.cf
+		for _, x := range victims {
+			e, ok := c.iat[c.iatKey(chunk.FromKey(c.tree.ID(x)))]
 			if !ok {
 				panic("cafe: eviction candidate without IAT state")
 			}
@@ -321,18 +366,20 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 		}
 		costRedirect := float64(nChunks) * c.cr
 		videoEst, videoEstOK := c.videoEstimate(r.Video, now)
-		for _, id := range missing {
-			e, ok := c.iat[c.iatKey(id)]
+		for _, e := range s {
+			if e.node != ordtree.Nil {
+				continue
+			}
 			switch {
-			case ok && e.dt != unknownDT:
-				costRedirect += c.futureCost(e, now, window)
-			case ok:
+			case e.dt == unknownDT:
 				// Seen exactly once: bootstrap the IAT from the raw
 				// gap, exactly as the Eq. 8 update will on the next
 				// observation.
-				costRedirect += c.futureCost(iatEntry{dt: float64(now - e.t), t: now}, now, window)
+				costRedirect += c.futureCost(iatEntry{dt: float64(now - c.lastSeen(e)), t: c.offset(now)}, now, window)
+			case e.dt != absentDT:
+				costRedirect += c.futureCost(e, now, window)
 			case videoEstOK:
-				costRedirect += c.futureCost(iatEntry{dt: videoEst, t: now}, now, window)
+				costRedirect += c.futureCost(iatEntry{dt: videoEst, t: c.offset(now)}, now, window)
 			}
 			// No information at all: no expected future cost.
 		}
@@ -341,27 +388,27 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 
 	// The disk-write budget can veto a fill-bearing serve (Section 2's
 	// write-vs-read contention); pure hits pass untouched.
-	if serve && len(missing) > 0 && c.fillGate != nil && !c.fillGate(len(missing), now) {
+	if serve && nMissing > 0 && c.fillGate != nil && !c.fillGate(nMissing, now) {
 		serve = false
 		victims = nil
 	}
 
 	// Record this arrival in the popularity state (always, including
 	// redirects — popularity is built from the full request stream).
-	c.observe(r.Video, c0, c1, now)
+	c.observe(s, now)
 
 	if !serve {
 		// Cached chunks of S changed popularity; re-key them.
 		if c.opt.FileLevel {
-			c.rekeyVideo(r.Video)
+			c.rekeyVideo(r.Video, s[0])
 		} else {
-			for ci := c0; ci <= c1; ci++ {
-				id := chunk.ID{Video: r.Video, Index: ci}
-				if c.tree.Contains(id.Key()) {
-					c.tree.Insert(id.Key(), c.treeKey(c.iat[c.iatKey(id)]))
+			for _, e := range s {
+				if e.node != ordtree.Nil {
+					c.tree.Rekey(e.node, c.treeKey(e))
 				}
 			}
 		}
+		c.store(r.Video, c0, s)
 		return core.Outcome{Decision: core.Redirect}
 	}
 
@@ -372,75 +419,123 @@ func (c *Cache) HandleRequest(r trace.Request) core.Outcome {
 	} else {
 		evicted = make([]chunk.ID, 0, len(victims))
 	}
-	for _, vid := range victims {
-		id := chunk.FromKey(vid)
-		c.evictChunk(id)
-		evicted = append(evicted, id)
+	for _, x := range victims {
+		evicted = append(evicted, c.evict(x))
 	}
 	if c.cfg.ReuseOutcomeBuffers {
 		c.evictedBuf = evicted
 	}
 	// Fill missing chunks and re-key every requested chunk.
-	set := c.videos[r.Video]
-	if set == nil {
-		if k := len(c.setPool); k > 0 {
-			set = c.setPool[k-1]
-			c.setPool = c.setPool[:k-1]
-		} else {
-			set = make(map[uint32]struct{})
-		}
-		c.videos[r.Video] = set
+	var filled []chunk.ID
+	switch {
+	case c.cfg.ReuseOutcomeBuffers:
+		filled = c.missingBuf[:0]
+	case nMissing > 0:
+		filled = make([]chunk.ID, 0, nMissing)
 	}
-	for ci := c0; ci <= c1; ci++ {
-		id := chunk.ID{Video: r.Video, Index: ci}
-		k := c.iatKey(id)
-		e := c.iat[k]
+	set := c.videoSet(r.Video)
+	for i := range s {
+		e := &s[i]
 		if e.dt == unknownDT {
 			// First fill of a never-repeated chunk (warmup or
 			// whole-request admission): the honest IAT guess for
 			// something seen once is the elapsed trace time.
 			e.dt = math.Max(float64(now-c.firstTime), 1)
-			c.iat[k] = e
 		}
-		c.tree.Insert(id.Key(), c.treeKey(e))
-		set[ci] = struct{}{}
+		id := chunk.ID{Video: r.Video, Index: c0 + uint32(i)}
+		if e.node == ordtree.Nil {
+			e.node = c.tree.Insert(id.Key(), c.treeKey(*e))
+			set[id.Index] = e.node
+			filled = append(filled, id)
+		} else {
+			c.tree.Rekey(e.node, c.treeKey(*e))
+		}
+	}
+	if c.cfg.ReuseOutcomeBuffers {
+		c.missingBuf = filled
 	}
 	if c.opt.FileLevel {
 		// All cached chunks of the video share the updated entry;
 		// keep their tree keys consistent with it.
-		c.rekeyVideo(r.Video)
+		c.rekeyVideo(r.Video, s[0])
 	}
+	c.store(r.Video, c0, s)
 	return core.Outcome{
 		Decision:      core.Serve,
-		FilledChunks:  len(missing),
-		FilledBytes:   int64(len(missing)) * c.cfg.ChunkSize,
+		FilledChunks:  nMissing,
+		FilledBytes:   int64(nMissing) * c.cfg.ChunkSize,
 		EvictedChunks: len(evicted),
-		FilledIDs:     missing,
+		FilledIDs:     filled,
 		EvictedIDs:    evicted,
 	}
 }
 
-// observe applies the Eq. 8 EWMA update for every chunk of the request
-// (once per video in the file-level ablation).
-func (c *Cache) observe(v chunk.VideoID, c0, c1 uint32, now int64) {
-	g := c.opt.Gamma
+// lookup reads the IAT entries of chunks c0..c1 of v into the request
+// scratch, one table access per chunk. In the file-level ablation each
+// slot holds a copy of the video's shared entry, carrying its own
+// chunk's node from the videos index.
+func (c *Cache) lookup(v chunk.VideoID, c0, c1 uint32) []iatEntry {
+	s := c.reqBuf[:0]
 	if c.opt.FileLevel {
-		c0, c1 = 0, 0
-	}
-	for ci := c0; ci <= c1; ci++ {
-		k := c.iatKey(chunk.ID{Video: v, Index: ci})
-		e, ok := c.iat[k]
-		switch {
-		case !ok:
-			e = iatEntry{dt: unknownDT, t: now}
-		case e.dt == unknownDT:
-			// Second observation bootstraps dt from the raw gap.
-			e = iatEntry{dt: float64(now - e.t), t: now}
-		default:
-			e = iatEntry{dt: g*float64(now-e.t) + (1-g)*e.dt, t: now}
+		e := c.entry(chunk.ID{Video: v}.Key())
+		set := c.videos[v]
+		for ci := c0; ci <= c1; ci++ {
+			e.node = set[ci]
+			s = append(s, e)
 		}
-		c.iat[k] = e
+	} else {
+		for ci := c0; ci <= c1; ci++ {
+			s = append(s, c.entry(chunk.ID{Video: v, Index: ci}.Key()))
+		}
 	}
+	c.reqBuf = s
+	return s
+}
+
+// store writes the request scratch back to the IAT table, one write
+// per entry (one per video in the file-level ablation).
+func (c *Cache) store(v chunk.VideoID, c0 uint32, s []iatEntry) {
+	if c.opt.FileLevel {
+		e := s[0]
+		e.node = ordtree.Nil
+		c.iat[chunk.ID{Video: v}.Key()] = e
+		return
+	}
+	for i, e := range s {
+		c.iat[chunk.ID{Video: v, Index: c0 + uint32(i)}.Key()] = e
+	}
+}
+
+// observe applies the Eq. 8 EWMA update to every entry of the request
+// scratch (once per video in the file-level ablation).
+func (c *Cache) observe(s []iatEntry, now int64) {
+	if c.opt.FileLevel {
+		e := c.seen(s[0], now)
+		for i := range s {
+			s[i].dt, s[i].t = e.dt, e.t
+		}
+		return
+	}
+	for i := range s {
+		s[i] = c.seen(s[i], now)
+	}
+}
+
+// seen returns e updated by one arrival at now (Eq. 8); the node is
+// kept.
+func (c *Cache) seen(e iatEntry, now int64) iatEntry {
+	switch e.dt {
+	case absentDT:
+		e.dt = unknownDT
+	case unknownDT:
+		// Second observation bootstraps dt from the raw gap.
+		e.dt = float64(now - c.lastSeen(e))
+	default:
+		g := c.opt.Gamma
+		e.dt = g*float64(now-c.lastSeen(e)) + (1-g)*e.dt
+	}
+	e.t = c.offset(now)
+	return e
 }
 
 // videoEstimate returns the largest IAT among the video's cached
@@ -473,24 +568,42 @@ func (c *Cache) videoEstimate(v chunk.VideoID, now int64) (float64, bool) {
 }
 
 // rekeyVideo refreshes the tree keys of every cached chunk of v from
-// the video's (shared, file-level) IAT entry.
-func (c *Cache) rekeyVideo(v chunk.VideoID) {
-	set := c.videos[v]
-	if len(set) == 0 {
-		return
-	}
-	e := c.iat[c.iatKey(chunk.ID{Video: v})]
+// the video's shared, file-level IAT entry e.
+func (c *Cache) rekeyVideo(v chunk.VideoID, e iatEntry) {
 	key := c.treeKey(e)
-	for ci := range set {
-		c.tree.Insert((chunk.ID{Video: v, Index: ci}).Key(), key)
+	for _, x := range c.videos[v] {
+		c.tree.Rekey(x, key)
 	}
 }
 
-// evictChunk removes one chunk from disk bookkeeping, keeping its IAT
-// history. Emptied per-video index sets are recycled through setPool
-// instead of being re-allocated for the next new video.
-func (c *Cache) evictChunk(id chunk.ID) {
-	c.tree.Remove(id.Key())
+// videoSet returns v's cached-chunk index, creating it (from setPool
+// when possible) if v has none.
+func (c *Cache) videoSet(v chunk.VideoID) map[uint32]ordtree.Node {
+	set := c.videos[v]
+	if set == nil {
+		if k := len(c.setPool); k > 0 {
+			set = c.setPool[k-1]
+			c.setPool = c.setPool[:k-1]
+		} else {
+			set = make(map[uint32]ordtree.Node)
+		}
+		c.videos[v] = set
+	}
+	return set
+}
+
+// evict removes the chunk at node x from disk bookkeeping, keeping its
+// IAT history, and returns its ID. Emptied per-video index sets are
+// recycled through setPool instead of being re-allocated for the next
+// new video.
+func (c *Cache) evict(x ordtree.Node) chunk.ID {
+	id := chunk.FromKey(c.tree.ID(x))
+	c.tree.Remove(x)
+	if !c.opt.FileLevel {
+		e := c.iat[id.Key()]
+		e.node = ordtree.Nil
+		c.iat[id.Key()] = e
+	}
 	if set := c.videos[id.Video]; set != nil {
 		delete(set, id.Index)
 		if len(set) == 0 {
@@ -500,6 +613,7 @@ func (c *Cache) evictChunk(id chunk.ID) {
 			}
 		}
 	}
+	return id
 }
 
 // Forget undoes the admission of one chunk whose cache fill failed
@@ -508,10 +622,9 @@ func (c *Cache) evictChunk(id chunk.ID) {
 // nothing about the chunk's popularity. No-op when the chunk is not on
 // disk.
 func (c *Cache) Forget(id chunk.ID) {
-	if !c.tree.Contains(id.Key()) {
-		return
+	if x := c.nodeOf(id); x != ordtree.Nil {
+		c.evict(x)
 	}
-	c.evictChunk(id)
 }
 
 // cleanup prunes IAT history of chunks that are not cached and whose
@@ -533,7 +646,7 @@ func (c *Cache) cleanup(now int64) {
 	}
 	cutoff := now - int64(8*age) - 1
 	for k, e := range c.iat {
-		if e.t >= cutoff {
+		if c.lastSeen(e) >= cutoff {
 			continue
 		}
 		if c.opt.FileLevel {
@@ -542,7 +655,7 @@ func (c *Cache) cleanup(now int64) {
 			if len(c.videos[chunk.FromKey(k).Video]) > 0 {
 				continue
 			}
-		} else if c.tree.Contains(k) {
+		} else if e.node != ordtree.Nil {
 			continue
 		}
 		delete(c.iat, k)

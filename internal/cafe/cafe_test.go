@@ -8,6 +8,7 @@ import (
 
 	"videocdn/internal/chunk"
 	"videocdn/internal/core"
+	"videocdn/internal/ordtree"
 	"videocdn/internal/trace"
 )
 
@@ -42,6 +43,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(cfg, 1, Options{WindowScale: -1}); err == nil {
 		t.Error("negative window scale should fail")
+	}
+	for _, bad := range []Options{{Gamma: math.NaN()}, {WindowScale: math.NaN()}, {WindowScale: math.Inf(1)}} {
+		if _, err := New(cfg, 1, bad); err == nil {
+			t.Errorf("non-finite %+v should fail", bad)
+		}
+	}
+	if _, err := New(cfg, math.NaN(), Options{}); err == nil {
+		t.Error("alpha=NaN should fail")
 	}
 	c, err := New(cfg, 1, Options{})
 	if err != nil {
@@ -195,8 +204,8 @@ func TestRequestedChunksNeverEvicted(t *testing.T) {
 func TestTheorem1Property(t *testing.T) {
 	c := newCache(t, 4, 1, Options{})
 	f := func(tx1, tx2 uint16, dt1, dt2 uint16, probe uint16) bool {
-		e1 := iatEntry{dt: float64(dt1) + 1, t: int64(tx1)}
-		e2 := iatEntry{dt: float64(dt2) + 1, t: int64(tx2)}
+		e1 := iatEntry{dt: float64(dt1) + 1, t: int32(tx1)}
+		e2 := iatEntry{dt: float64(dt2) + 1, t: int32(tx2)}
 		now := int64(tx1) + int64(tx2) + int64(probe) // >= both t_x
 		k1, k2 := c.treeKey(e1), c.treeKey(e2)
 		i1, i2 := c.iatAt(e1, now), c.iatAt(e2, now)
@@ -316,6 +325,24 @@ func TestTimeRegressionPanics(t *testing.T) {
 	c.HandleRequest(req(9, 1, 0, 0))
 }
 
+// IAT times are int32 offsets from the first request, so a trace may
+// span at most 2^31-1 s (68 years). Prefetch refuses a later time;
+// a request that late is as much a caller bug as time regression.
+func TestTimeSpanBeyondInt32(t *testing.T) {
+	c := newCache(t, 4, 1, Options{})
+	c.HandleRequest(req(10, 1, 0, 0))
+	c.HandleRequest(req(10+math.MaxInt32, 1, 0, 0))
+	if ok, _ := c.PrefetchChunk(chunk.ID{Video: 2}, 11+math.MaxInt32); ok {
+		t.Error("prefetch beyond the int32 span should be refused")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a request beyond the int32 span should panic")
+		}
+	}()
+	c.HandleRequest(req(11+math.MaxInt32, 1, 0, 0))
+}
+
 func TestRedirectUpdatesPopularity(t *testing.T) {
 	// A video redirected repeatedly builds IAT history and eventually
 	// qualifies — the second-chance behaviour.
@@ -372,11 +399,11 @@ func TestCleanupPrunesStaleHistory(t *testing.T) {
 		t.Error("stale uncached history should be pruned")
 	}
 	// Cached chunks' entries must survive cleanup.
-	id, _, ok := c.tree.Min()
-	if !ok {
+	x := c.tree.Min()
+	if x == ordtree.Nil {
 		t.Fatal("disk should not be empty")
 	}
-	if _, ok := c.iat[c.iatKey(chunk.FromKey(id))]; !ok {
+	if _, ok := c.iat[c.iatKey(chunk.FromKey(c.tree.ID(x)))]; !ok {
 		t.Error("cached chunk lost its IAT state")
 	}
 }
@@ -477,5 +504,30 @@ func TestReuseOutcomeBuffersEquivalence(t *testing.T) {
 	}
 	if plain.Len() != reuse.Len() {
 		t.Errorf("Len diverged: %d vs %d", plain.Len(), reuse.Len())
+	}
+}
+
+// TestRedirectAndHitAllocFree pins the steady-state decision path:
+// with ReuseOutcomeBuffers off, a redirect (here after the full cost
+// evaluation, its fill refused by the gate) and a full hit allocate
+// nothing. Only a fill-bearing serve allocates, for its FilledIDs.
+func TestRedirectAndHitAllocFree(t *testing.T) {
+	c := newCache(t, 64, 2, Options{})
+	tm := fillDisk(t, c, 0, 10)
+	c.SetFillGate(func(int, int64) bool { return false })
+	var redirect, hit core.Outcome
+	allocs := testing.AllocsPerRun(200, func() {
+		tm++
+		redirect = c.HandleRequest(req(tm, 7, 0, 2))
+	})
+	if allocs != 0 || redirect.Decision != core.Redirect {
+		t.Errorf("redirect: %.2f allocs/op, outcome %+v; want 0 and a redirect", allocs, redirect)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		tm++
+		hit = c.HandleRequest(req(tm, 100000, 0, 0))
+	})
+	if allocs != 0 || hit.Decision != core.Serve || hit.FilledChunks != 0 {
+		t.Errorf("full hit: %.2f allocs/op, outcome %+v; want 0 and a hit", allocs, hit)
 	}
 }

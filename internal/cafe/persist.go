@@ -82,7 +82,7 @@ func (c *Cache) Save(w io.Writer) error {
 				return err
 			}
 		}
-		if err := writeU(uint64(e.t)); err != nil {
+		if err := writeU(uint64(c.lastSeen(e))); err != nil {
 			return err
 		}
 	}
@@ -154,10 +154,16 @@ func Load(r io.Reader) (*Cache, error) {
 	c.lastTime = int64(lastTime)
 	c.requests = int64(requests)
 	c.started = started
+	if started && !c.inClock(c.lastTime) {
+		return nil, fmt.Errorf("cafe: snapshot clock spans %d..%d", c.firstTime, c.lastTime)
+	}
 
 	n, err := readU()
 	if err != nil {
 		return nil, err
+	}
+	if n > 0 && !started {
+		return nil, errors.New("cafe: snapshot holds IAT state but never saw a request")
 	}
 	for i := uint64(0); i < n; i++ {
 		key, err := readU()
@@ -173,39 +179,53 @@ func Load(r io.Reader) (*Cache, error) {
 			if e.dt, err = readF(); err != nil {
 				return nil, err
 			}
+			if !(e.dt >= 0 && e.dt <= math.MaxFloat64) {
+				return nil, fmt.Errorf("cafe: IAT entry %d has dt %v", i, e.dt)
+			}
 		}
 		tv, err := readU()
 		if err != nil {
 			return nil, err
 		}
-		e.t = int64(tv)
+		if !c.inClock(int64(tv)) || int64(tv) > c.lastTime {
+			return nil, fmt.Errorf("cafe: IAT entry %d was seen at %d, outside %d..%d", i, int64(tv), c.firstTime, c.lastTime)
+		}
+		e.t = c.offset(int64(tv))
 		c.iat[key] = e
 	}
 	m, err := readU()
 	if err != nil {
 		return nil, err
 	}
-	if int(m) > cfg.DiskChunks {
+	if m > uint64(cfg.DiskChunks) {
 		return nil, fmt.Errorf("cafe: snapshot holds %d chunks for a %d-chunk disk", m, cfg.DiskChunks)
 	}
-	c.tree = ordtree.New()
 	for i := uint64(0); i < m; i++ {
 		key, err := readU()
 		if err != nil {
 			return nil, fmt.Errorf("cafe: corrupt chunk entry %d: %w", i, err)
 		}
 		id := chunk.FromKey(key)
-		e, ok := c.iat[c.iatKey(id)]
+		if c.nodeOf(id) != ordtree.Nil {
+			return nil, fmt.Errorf("cafe: snapshot lists chunk %s twice", id)
+		}
+		k := c.iatKey(id)
+		e, ok := c.iat[k]
 		if !ok || e.dt == unknownDT {
 			return nil, fmt.Errorf("cafe: snapshot chunk %s has no IAT state", id)
 		}
-		c.tree.Insert(key, c.treeKey(e))
-		set := c.videos[id.Video]
-		if set == nil {
-			set = make(map[uint32]struct{})
-			c.videos[id.Video] = set
+		x := c.tree.Insert(key, c.treeKey(e))
+		if !c.opt.FileLevel {
+			e.node = x
+			c.iat[k] = e
 		}
-		set[id.Index] = struct{}{}
+		c.videoSet(id.Video)[id.Index] = x
 	}
 	return c, nil
+}
+
+// inClock reports whether t lies in the span an IAT entry's int32
+// offset can express, firstTime..firstTime+MaxInt32.
+func (c *Cache) inClock(t int64) bool {
+	return t >= c.firstTime && uint64(t)-uint64(c.firstTime) <= math.MaxInt32
 }

@@ -1,7 +1,10 @@
 package cafe
 
 import (
+	"math"
+
 	"videocdn/internal/chunk"
+	"videocdn/internal/ordtree"
 )
 
 // PrefetchChunk proactively fills one chunk outside the request path —
@@ -19,7 +22,7 @@ import (
 // spending ingress only when it is actually spare (e.g. off-peak); see
 // internal/prefetch.
 func (c *Cache) PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []chunk.ID) {
-	if now < c.lastTime {
+	if now < c.lastTime || (c.started && now-c.firstTime > math.MaxInt32) {
 		// Prefetch uses the same logical clock as requests.
 		return false, nil
 	}
@@ -28,53 +31,49 @@ func (c *Cache) PrefetchChunk(id chunk.ID, now int64) (admitted bool, evicted []
 		c.started = true
 	}
 	c.lastTime = now
-	if c.tree.Contains(id.Key()) {
+	if c.nodeOf(id) != ordtree.Nil {
 		return false, nil
 	}
 	k := c.iatKey(id)
-	e, ok := c.iat[k]
+	e := c.entry(k)
 	var est float64
-	switch {
-	case ok && e.dt != unknownDT:
-		est = c.iatAt(e, now)
-	case ok:
-		est = float64(now - e.t)
-		if est < 1 {
-			est = 1
-		}
-	default:
+	switch e.dt {
+	case absentDT:
 		v, vok := c.videoEstimate(id.Video, now)
 		if !vok {
 			return false, nil // nothing known; refuse blind ingress
 		}
 		est = v
+	case unknownDT:
+		est = float64(now - c.lastSeen(e))
+		if est < 1 {
+			est = 1
+		}
+	default:
+		est = c.iatAt(e, now)
 	}
 	if free := c.cfg.DiskChunks - c.tree.Len(); free <= 0 {
 		// Displace only a strictly less popular resident.
 		if est >= c.CacheAge(now) {
 			return false, nil
 		}
-		minID, _, okMin := c.tree.Min()
-		if !okMin {
+		x := c.tree.Min()
+		if x == ordtree.Nil {
 			return false, nil
 		}
-		victim := chunk.FromKey(minID)
-		c.evictChunk(victim)
-		evicted = append(evicted, victim)
+		evicted = append(evicted, c.evict(x))
 	}
-	if !ok || e.dt == unknownDT {
+	if e.dt == absentDT || e.dt == unknownDT {
 		// Materialize the estimate as the chunk's state so the tree
 		// key and future cache-age lookups stay consistent.
-		e = iatEntry{dt: est, t: now}
-		c.iat[k] = e
+		e = iatEntry{dt: est, t: c.offset(now)}
 	}
-	c.tree.Insert(id.Key(), c.treeKey(e))
-	set := c.videos[id.Video]
-	if set == nil {
-		set = make(map[uint32]struct{})
-		c.videos[id.Video] = set
+	x := c.tree.Insert(id.Key(), c.treeKey(e))
+	if !c.opt.FileLevel {
+		e.node = x
 	}
-	set[id.Index] = struct{}{}
+	c.iat[k] = e
+	c.videoSet(id.Video)[id.Index] = x
 	return true, evicted
 }
 

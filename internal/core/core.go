@@ -12,6 +12,8 @@
 package core
 
 import (
+	"math"
+
 	"videocdn/internal/chunk"
 	"videocdn/internal/trace"
 )
@@ -114,11 +116,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// CheckAlpha returns ErrBadAlpha unless alpha is a usable alpha_F2R:
+// positive and finite. Every comparison with NaN is false, so a bare
+// alpha <= 0 test would let NaN through.
+func CheckAlpha(alpha float64) error {
+	if !(alpha > 0 && alpha <= math.MaxFloat64) {
+		return ErrBadAlpha
+	}
+	return nil
+}
+
 // Sentinel configuration errors.
 var (
 	ErrBadChunkSize = errorString("core: chunk size must be positive")
 	ErrBadDiskSize  = errorString("core: disk size must be positive")
-	ErrBadAlpha     = errorString("core: alpha_F2R must be positive")
+	ErrBadAlpha     = errorString("core: alpha_F2R must be positive and finite")
 	ErrBadGamma     = errorString("core: gamma must be in (0, 1]")
 	ErrBadWindow    = errorString("core: window scale must be positive")
 	ErrBadFutureN   = errorString("core: future list bound N must be positive")

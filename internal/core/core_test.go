@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -33,6 +34,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{ChunkSize: 1024, DiskChunks: 0}).Validate(); !errors.Is(err, ErrBadDiskSize) {
 		t.Errorf("zero disk: got %v", err)
+	}
+}
+
+func TestCheckAlpha(t *testing.T) {
+	for _, a := range []float64{1e-9, 1, 2, math.MaxFloat64} {
+		if err := CheckAlpha(a); err != nil {
+			t.Errorf("CheckAlpha(%v) = %v", a, err)
+		}
+	}
+	for _, a := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckAlpha(a); !errors.Is(err, ErrBadAlpha) {
+			t.Errorf("CheckAlpha(%v) = %v, want ErrBadAlpha", a, err)
+		}
 	}
 }
 

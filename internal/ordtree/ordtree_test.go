@@ -260,21 +260,57 @@ func TestBalancedDepth(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		tr.Insert(i, float64(i))
 	}
-	var depth func(nd *node) int
-	depth = func(nd *node) int {
-		if nd == nil {
+	a := &tr.a
+	var depth func(x Node) int
+	depth = func(x Node) int {
+		if x == Nil {
 			return 0
 		}
-		l, r := depth(nd.l), depth(nd.r)
+		l, r := depth(a.nodes[x].l), depth(a.nodes[x].r)
 		if l > r {
 			return l + 1
 		}
 		return r + 1
 	}
-	d := depth(tr.root)
+	d := depth(a.root)
 	// Expected depth ~ 3*log2(n) ≈ 42 with very high probability.
 	if d > 80 {
 		t.Errorf("treap depth %d too large for n=%d", d, n)
+	}
+}
+
+// checkTreap verifies the structural invariants of a: BST order on
+// (key, id), max-heap order on prio, and exactly Len reachable nodes,
+// none of them on the free stack.
+func checkTreap(t *testing.T, a *Arena) {
+	t.Helper()
+	free := map[Node]bool{}
+	for _, x := range a.free {
+		free[x] = true
+	}
+	reached := 0
+	var check func(x, lo, hi Node) bool
+	check = func(x, lo, hi Node) bool {
+		if x == Nil {
+			return true
+		}
+		reached++
+		nd := a.nodes[x]
+		switch {
+		case free[x],
+			lo != Nil && !a.before(a.nodes[lo].key, a.nodes[lo].id, x),
+			hi != Nil && !a.before(nd.key, nd.id, hi),
+			nd.l != Nil && a.nodes[nd.l].prio > nd.prio,
+			nd.r != Nil && a.nodes[nd.r].prio > nd.prio:
+			return false
+		}
+		return check(nd.l, lo, x) && check(nd.r, x, hi)
+	}
+	if !check(a.root, Nil, Nil) {
+		t.Fatal("treap invariants violated")
+	}
+	if reached != a.Len() {
+		t.Fatalf("%d nodes reachable, Len %d", reached, a.Len())
 	}
 }
 
@@ -288,28 +324,137 @@ func TestTreapInvariants(t *testing.T) {
 			tr.Remove(uint64(rng.Intn(500)))
 		}
 	}
-	var check func(n *node, lo, hi *node) bool
-	check = func(n, lo, hi *node) bool {
-		if n == nil {
+	checkTreap(t, &tr.a)
+}
+
+// The node API against a reference model: random insert, re-key and
+// remove through handles keep the set equal to a sorted slice, Min,
+// Max, ID and Key agree with it, and the treap invariants hold.
+func TestArenaAgainstReferenceModel(t *testing.T) {
+	type pair struct {
+		id  uint64
+		key float64
+	}
+	rng := rand.New(rand.NewSource(3))
+	var a Arena
+	handle := map[uint64]Node{}
+	model := map[uint64]float64{}
+	for op := 0; op < 5000; op++ {
+		id := uint64(rng.Intn(200))
+		key := math.Floor(rng.Float64()*100) / 4 // force duplicate keys
+		x, in := handle[id]
+		switch {
+		case !in:
+			handle[id] = a.Insert(id, key)
+			model[id] = key
+		case rng.Intn(2) == 0:
+			a.Rekey(x, key)
+			model[id] = key
+		default:
+			a.Remove(x)
+			delete(handle, id)
+			delete(model, id)
+		}
+		if op%500 != 0 {
+			continue
+		}
+		checkTreap(t, &a)
+		ps := make([]pair, 0, len(model))
+		for id, k := range model {
+			ps = append(ps, pair{id, k})
+		}
+		sort.Slice(ps, func(i, j int) bool {
+			if ps[i].key != ps[j].key {
+				return ps[i].key < ps[j].key
+			}
+			return ps[i].id < ps[j].id
+		})
+		i := 0
+		a.Ascend(func(id uint64, key float64) bool {
+			if ps[i] != (pair{id, key}) {
+				t.Fatalf("op %d: ascend[%d] = %d/%v, want %+v", op, i, id, key, ps[i])
+			}
+			i++
 			return true
+		})
+		if i != len(ps) || a.Len() != len(ps) {
+			t.Fatalf("op %d: walked %d, Len %d, model %d", op, i, a.Len(), len(ps))
 		}
-		if lo != nil && !less(lo.key, lo.id, n) {
-			return false
+		if mn, mx := a.Min(), a.Max(); a.ID(mn) != ps[0].id || a.ID(mx) != ps[len(ps)-1].id ||
+			a.Key(mn) != ps[0].key || a.Key(mx) != ps[len(ps)-1].key {
+			t.Fatalf("op %d: Min/Max disagree with the model", op)
 		}
-		if hi != nil && !less(n.key, n.id, hi) {
-			return false
-		}
-		if n.l != nil && n.l.prio > n.prio {
-			return false
-		}
-		if n.r != nil && n.r.prio > n.prio {
-			return false
-		}
-		return check(n.l, lo, n) && check(n.r, n, hi)
 	}
-	if !check(tr.root, nil, nil) {
-		t.Error("treap invariants violated")
+	var empty Arena
+	if empty.Min() != Nil || empty.Max() != Nil || empty.Len() != 0 {
+		t.Error("zero Arena should be empty")
 	}
+}
+
+func TestArenaRemoveTwicePanics(t *testing.T) {
+	var a Arena
+	x := a.Insert(1, 1)
+	a.Insert(2, 2)
+	a.Remove(x)
+	defer func() {
+		if recover() == nil {
+			t.Error("removing a node twice should panic")
+		}
+		if a.Len() != 1 || a.ID(a.Min()) != 2 {
+			t.Error("a rejected remove must leave the set untouched")
+		}
+	}()
+	a.Remove(x)
+}
+
+// TestArenaNilHandlePanics: the zero handle is Nil, and neither Remove
+// nor Rekey may treat it as the sentinel slot of a live item.
+func TestArenaNilHandlePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(a *Arena)
+	}{
+		{"Remove", func(a *Arena) { a.Remove(Nil) }},
+		{"Rekey", func(a *Arena) { a.Rekey(Nil, 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var a Arena
+			a.Insert(1, 1)
+			a.Insert(2, 2)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(Nil) should panic", tc.name)
+					}
+				}()
+				tc.op(&a)
+			}()
+			if a.Len() != 2 || a.ID(a.Min()) != 1 || a.ID(a.Max()) != 2 {
+				t.Fatalf("a rejected %s(Nil) must leave the set untouched", tc.name)
+			}
+			// The next insert gets a fresh slot, never the sentinel.
+			if x := a.Insert(3, 3); x == Nil {
+				t.Fatal("Insert handed out Nil after a rejected Nil operation")
+			}
+			if a.Len() != 3 || a.ID(a.Max()) != 3 {
+				t.Error("set corrupted after a rejected Nil operation")
+			}
+		})
+	}
+}
+
+func TestArenaRekeyNaNPanics(t *testing.T) {
+	var a Arena
+	x := a.Insert(1, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("NaN re-key should panic")
+		}
+		if a.Key(x) != 1 || a.Len() != 1 {
+			t.Error("a rejected re-key must leave the item untouched")
+		}
+	}()
+	a.Rekey(x, math.NaN())
 }
 
 func BenchmarkInsertRemove(b *testing.B) {
@@ -336,8 +481,17 @@ func BenchmarkSmallestExcluding(b *testing.B) {
 
 func TestAppendSmallestExcludingRange(t *testing.T) {
 	tr := New()
+	var a Arena
 	for i := uint64(0); i < 64; i++ {
 		tr.Insert(i, float64(i))
+		a.Insert(i, float64(i))
+	}
+	ids := func(xs []Node) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = a.ID(x)
+		}
+		return out
 	}
 	// Range [10, 20] excluded: results must match SmallestExcluding with
 	// the equivalent skip set, for every requested count.
@@ -347,7 +501,7 @@ func TestAppendSmallestExcludingRange(t *testing.T) {
 	}
 	for n := 0; n <= 70; n += 7 {
 		want := tr.SmallestExcluding(n, skip)
-		got := tr.AppendSmallestExcludingRange(nil, n, 10, 20)
+		got := ids(a.AppendSmallestExcludingRange(nil, n, 10, 20))
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d ids, want %d", n, len(got), len(want))
 		}
@@ -358,53 +512,76 @@ func TestAppendSmallestExcludingRange(t *testing.T) {
 		}
 	}
 	// Appending to a non-empty dst keeps the prefix.
-	got := tr.AppendSmallestExcludingRange([]uint64{999}, 2, 10, 20)
-	if len(got) != 3 || got[0] != 999 || got[1] != 0 || got[2] != 1 {
+	got := a.AppendSmallestExcludingRange([]Node{Nil}, 2, 10, 20)
+	if len(got) != 3 || got[0] != Nil || a.ID(got[1]) != 0 || a.ID(got[2]) != 1 {
 		t.Errorf("append to prefix: %v", got)
 	}
 	// Inverted / empty ranges exclude nothing.
-	got = tr.AppendSmallestExcludingRange(nil, 3, 50, 40)
-	if len(got) != 3 || got[0] != 0 {
-		t.Errorf("inverted range: %v", got)
+	got = a.AppendSmallestExcludingRange(nil, 3, 50, 40)
+	if len(got) != 3 || a.ID(got[0]) != 0 {
+		t.Errorf("inverted range: %v", ids(got))
 	}
 }
 
-// TestSteadyStateAllocFree pins the freelist guarantee: once a tree has
-// reached its high-water item count, the evict-then-fill cycle (Remove
-// one id, Insert a new one) and the re-key path allocate nothing.
+// TestSteadyStateAllocFree pins the free-stack guarantee: once an
+// arena has reached its high-water item count, the evict-then-fill
+// cycle (Remove one node, Insert a new item), the re-key path and the
+// range eviction scan allocate nothing at all. Through Tree a re-key is
+// allocation-free too; only Remove+Insert of new IDs may let the ID
+// map rehash now and then.
 func TestSteadyStateAllocFree(t *testing.T) {
-	tr := New()
+	var a Arena
+	live := make([]Node, 0, 1024)
 	for i := uint64(0); i < 1024; i++ {
-		tr.Insert(i, float64(i))
+		live = append(live, a.Insert(i, float64(i)))
 	}
 	next := uint64(1024)
-	evict := uint64(0)
+	evict := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		tr.Remove(evict)
-		tr.Insert(next, float64(next))
-		evict++
+		a.Remove(live[evict])
+		live[evict] = a.Insert(next, float64(next))
+		evict = (evict + 1) % len(live)
 		next++
 	})
-	// The byID map may occasionally rehash; anything beyond that means
-	// the freelist regressed.
-	if allocs > 0.5 {
-		t.Errorf("steady-state Remove+Insert allocates %.2f/op, want ~0", allocs)
+	if allocs != 0 {
+		t.Errorf("steady-state Remove+Insert allocates %.2f/op, want 0", allocs)
 	}
-	rekey := uint64(500)
+	x := live[500]
 	allocs = testing.AllocsPerRun(200, func() {
-		k, _ := tr.Key(rekey)
-		tr.Insert(rekey, k+1e6)
+		a.Rekey(x, a.Key(x)+1e6)
 	})
 	if allocs != 0 {
 		t.Errorf("re-key allocates %.2f/op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(200, func() {
-		buf := scratch[:0]
-		scratch = tr.AppendSmallestExcludingRange(buf, 8, 10, 20)
+		scratch = a.AppendSmallestExcludingRange(scratch[:0], 8, 10, 20)
 	})
 	if allocs != 0 {
 		t.Errorf("range eviction scan allocates %.2f/op, want 0", allocs)
 	}
+
+	tr := New()
+	for i := uint64(0); i < 1024; i++ {
+		tr.Insert(i, float64(i))
+	}
+	// Re-keying an existing ID — the path Psychic, GDSP, LRU-K and
+	// Belady take on every hit — is a map read plus Rekey: exactly 0.
+	allocs = testing.AllocsPerRun(200, func() {
+		k, _ := tr.Key(500)
+		tr.Insert(500, k+1e6)
+	})
+	if allocs != 0 {
+		t.Errorf("Tree re-key allocates %.2f/op, want 0", allocs)
+	}
+	id := uint64(0)
+	allocs = testing.AllocsPerRun(200, func() {
+		tr.Remove(id)
+		tr.Insert(id+1024, float64(id+1024))
+		id++
+	})
+	if allocs > 0.5 {
+		t.Errorf("Tree Remove+Insert allocates %.2f/op, want ~0", allocs)
+	}
 }
 
-var scratch = make([]uint64, 0, 16)
+var scratch = make([]Node, 0, 16)

@@ -8,6 +8,9 @@ package policy_test
 // found here is a crash an operator could trigger from a flag.
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"videocdn/internal/chunk"
@@ -35,6 +38,10 @@ func FuzzPolicyConfig(f *testing.F) {
 	f.Add("lruq", "q=99999999999999999999")
 	f.Add("admit", "inner=admit,inner.inner=admit")
 	f.Add("admit", "inner=belady")
+	f.Add("cafe", "gamma=NaN")
+	f.Add("cafe", "alpha=NaN")
+	f.Add("cafe", "window_scale=+Inf")
+	f.Add("xlru", "alpha=NaN")
 
 	// The exact stream fed to every constructed policy. Offline
 	// policies index this as their future and panic (by contract) on
@@ -59,6 +66,13 @@ func FuzzPolicyConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Every float parameter in the registry is a cost-model
+		// constant (alpha_F2R, Eq. 8's gamma, the window scale) with no
+		// meaning as NaN or ±Inf: such a config must be rejected, not
+		// run with meaningless costs.
+		if key := nonFiniteFloat(name, p); key != "" {
+			t.Fatalf("NewWithEnv(%q, %q) accepted a non-finite %s", name, config, key)
+		}
 		// A constructed policy must survive first contact: a couple of
 		// requests and a rollback, without panicking or overflowing.
 		for _, r := range future {
@@ -71,4 +85,20 @@ func FuzzPolicyConfig(f *testing.F) {
 			t.Fatalf("%q with %q: Len %d exceeds capacity %d", name, config, c.Len(), cfg.DiskChunks)
 		}
 	})
+}
+
+// nonFiniteFloat returns the first float field of name's schema that p
+// sets to NaN or ±Inf, or "" if there is none.
+func nonFiniteFloat(name string, p policy.Params) string {
+	spec, _ := policy.Lookup(name)
+	for _, f := range spec.Fields {
+		s, ok := p[f.Key].(string)
+		if f.Kind != policy.KindFloat || !ok {
+			continue
+		}
+		if x, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			return f.Key
+		}
+	}
+	return ""
 }

@@ -65,8 +65,8 @@ func New(cfg core.Config, alpha float64, reqs []trace.Request, opt Options) (*Ca
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if alpha <= 0 {
-		return nil, core.ErrBadAlpha
+	if err := core.CheckAlpha(alpha); err != nil {
+		return nil, err
 	}
 	if opt.N == 0 {
 		opt.N = DefaultN

@@ -321,8 +321,10 @@ func TestCacheAgeTracksResidence(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	cfg := core.Config{ChunkSize: testK, DiskChunks: 4}
-	if _, err := New(cfg, 0, nil, Options{}); err == nil {
-		t.Error("alpha=0 should fail")
+	for _, alpha := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := New(cfg, alpha, nil, Options{}); err == nil {
+			t.Errorf("alpha=%v should fail", alpha)
+		}
 	}
 	if _, err := New(core.Config{}, 1, nil, Options{}); err == nil {
 		t.Error("bad config should fail")

@@ -63,8 +63,8 @@ func New(cfg core.Config, alpha float64) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if alpha <= 0 {
-		return nil, core.ErrBadAlpha
+	if err := core.CheckAlpha(alpha); err != nil {
+		return nil, err
 	}
 	return &Cache{
 		cfg:   cfg,
@@ -84,8 +84,8 @@ func (c *Cache) Alpha() float64 { return c.alpha }
 // Section 10 on small-range dynamic adjustment). Only the Eq. 5
 // threshold scaling changes; both LRU structures are alpha-independent.
 func (c *Cache) SetAlpha(alpha float64) error {
-	if alpha <= 0 {
-		return core.ErrBadAlpha
+	if err := core.CheckAlpha(alpha); err != nil {
+		return err
 	}
 	c.alpha = alpha
 	return nil

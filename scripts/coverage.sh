@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Coverage gate for the paper-critical packages: the decision engines
-# (cafe, xlru), their shared core, the edge server, and the chunk
-# store and cluster packages that carry crash-safety and the peer line
-# must each stay at or above the threshold. The profile is collected with a shared
+# (cafe, xlru), their shared core and ordered set (ordtree), the edge
+# server, and the chunk store, cluster and resilience packages that
+# carry crash-safety, the peer line and its breakers must each stay at
+# or above the threshold. The profile is collected with a shared
 # -coverpkg so cross-package suites (notably internal/oracle, which
 # drives the real policies through the real edge) count toward the
 # packages they exercise, then split back out per package.
@@ -21,13 +22,16 @@ GATED=(
 	videocdn/internal/lruq
 	videocdn/internal/store
 	videocdn/internal/cluster
+	videocdn/internal/ordtree
+	videocdn/internal/resilience
 )
 profile=${1:-coverage.out}
 
 coverpkg=$(IFS=,; echo "${GATED[*]}")
 go test -coverpkg="$coverpkg" -coverprofile="$profile" \
 	./internal/core/ ./internal/cafe/ ./internal/xlru/ ./internal/edge/ ./internal/oracle/ \
-	./internal/policy/ ./internal/lruq/ ./internal/store/ ./internal/cluster/
+	./internal/policy/ ./internal/lruq/ ./internal/store/ ./internal/cluster/ \
+	./internal/ordtree/ ./internal/resilience/
 
 echo
 echo "coverage by gated package (threshold ${THRESHOLD}%):"
